@@ -35,6 +35,7 @@ __all__ = [
     "predict_maxdepth",
     "functional_depth_fm",
     "functional_depth_rp",
+    "halfspace_counts",
     "rp_directions",
 ]
 
@@ -77,10 +78,10 @@ class TrainedModel:
     frames: tuple[ReferenceFrame, ...] | None = None
     mcd_fits: tuple[McdFit, ...] | None = None
     rp_dirs: np.ndarray | None = None  # (NR, m, p), shared across groups
-    rp_sorted: tuple[np.ndarray, ...] = field(default=())  # per group (NR, n) sorted
     rp_moments: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=())
-    tukey_dirs: np.ndarray | None = None  # (D, p) for multivariate FM1
-    fm_sorted: tuple[np.ndarray, ...] = field(default=())  # per group sorted slices/projections
+    tukey_dirs: np.ndarray | None = None  # (D, p) for FM1; the direction 1 when p = 1
+    # per group, sorted reference projections: (NR, n) for RP1, (m, D, n) for FM1
+    sorted_proj: tuple[np.ndarray, ...] = field(default=())
 
     @property
     def grid(self) -> Grid:
@@ -117,11 +118,47 @@ def _project(values: np.ndarray, dirs: np.ndarray, weights: np.ndarray) -> np.nd
     return np.einsum("dmk,m,nmk->nd", dirs, weights, values)
 
 
-def _tukey_counts(sorted_vals: np.ndarray, queries: np.ndarray):
-    """Halfspace counts of queries against one sorted sample."""
-    le = np.searchsorted(sorted_vals, queries, side="right")
-    ge = sorted_vals.size - np.searchsorted(sorted_vals, queries, side="left")
-    return le, ge
+def _refs_at_or_below(sorted_ref: np.ndarray, sorted_q: np.ndarray) -> np.ndarray:
+    """#{ref <= q} per sorted query: a stable merge of each row puts tied
+    references first, and the query of rank i lands at #{ref <= q} + i."""
+    (R, n), N = sorted_ref.shape, sorted_q.shape[1]
+    merged = np.argsort(np.concatenate([sorted_ref, sorted_q], axis=1), axis=1, kind="stable")
+    position = np.flatnonzero(merged >= n).reshape(R, N) - (n + N) * np.arange(R)[:, None]
+    return position - np.arange(N)
+
+
+def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray, order=None):
+    """Exact halfspace counts (#{ref <= q}, #{ref >= q}) of (R, N) queries
+    against (R, n) ascending reference rows, row by row. ``order``, an argsort
+    of ``queries`` along axis 1, may be shared across references."""
+    if order is None:
+        order = np.argsort(queries, axis=1)
+    (R, n), N = sorted_ref.shape, queries.shape[1]
+    flat = order + N * np.arange(R)[:, None]
+    sorted_q = np.take(queries, flat)
+    le = _refs_at_or_below(sorted_ref, sorted_q)
+    ge = n - le
+    # #{ref < q} differs only where a reference equals q, the one just below
+    # it in the merge; there it is #{ref <= the float just below q}
+    below = np.take(sorted_ref, np.maximum(le - 1, 0) + n * np.arange(R)[:, None])
+    rows = np.flatnonzero((below == sorted_q).any(axis=1))
+    ge[rows] = n - _refs_at_or_below(sorted_ref[rows], np.nextafter(sorted_q[rows], -np.inf))
+    counts = np.empty((2, R * N), dtype=le.dtype)
+    counts[0, flat], counts[1, flat] = le, ge
+    return counts.reshape(2, R, N)
+
+
+def _tukey_directions(p: int, n_dirs: int, seed: int) -> np.ndarray:
+    """FM1's (D, p) directions; for p = 1 the direction 1: exact halfspace depth."""
+    if p == 1:
+        return np.ones((1, 1))
+    return random_unit_directions(n_dirs, p, np.random.default_rng(seed))
+
+
+def _fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Projections onto the Tukey directions, (N, m, p) -> (m, D, N), made the
+    same way for references and queries so that equal curves tie exactly."""
+    return np.einsum("nmk,dk->mdn", values, dirs, order="C")
 
 
 def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed: int = 0) -> TrainedModel:
@@ -146,9 +183,8 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
     config = config or ClassifierConfig()
 
     frames = mcd_fits = rp_dirs = tukey_dirs = None
-    rp_sorted: tuple = ()
     rp_moments: tuple = ()
-    fm_sorted: tuple = ()
+    sorted_proj: tuple = ()
 
     if method in ("RMD", "VOM", "FM2"):
         frames = tuple(reference_frame(g) for g in groups)
@@ -168,21 +204,14 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
         rp_dirs = rp_directions(config.n_projections, grid, p, rng)
         projections = [_project(g.values, rp_dirs, grid.weights) for g in groups]
         if method == "RP1":
-            rp_sorted = tuple(np.sort(proj.T, axis=1) for proj in projections)  # (NR, n)
+            sorted_proj = tuple(np.sort(proj.T, axis=1) for proj in projections)
         else:
             rp_moments = tuple(
                 (proj.mean(axis=0), proj.var(axis=0, ddof=1)) for proj in projections
             )
     elif method == "FM1":
-        if p == 1:
-            fm_sorted = tuple(np.sort(g.values[:, :, 0].T, axis=1) for g in groups)  # (m, n)
-        else:
-            rng = np.random.default_rng(derive_seed(rng_seed, 3))
-            tukey_dirs = random_unit_directions(config.tukey_n_dirs, p, rng)
-            fm_sorted = tuple(
-                np.sort(np.einsum("nmk,dk->mdn", g.values, tukey_dirs), axis=2)
-                for g in groups
-            )
+        tukey_dirs = _tukey_directions(p, config.tukey_n_dirs, derive_seed(rng_seed, 3))
+        sorted_proj = tuple(np.sort(_fm_project(g.values, tukey_dirs), axis=2) for g in groups)
 
     return TrainedModel(
         method=method,
@@ -193,10 +222,9 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
         frames=frames,
         mcd_fits=mcd_fits,
         rp_dirs=rp_dirs,
-        rp_sorted=rp_sorted,
         rp_moments=rp_moments,
         tukey_dirs=tukey_dirs,
-        fm_sorted=fm_sorted,
+        sorted_proj=sorted_proj,
     )
 
 
@@ -225,54 +253,21 @@ def _md_depths(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
     return 1.0 / (1.0 + np.maximum(maha2, 0.0))
 
 
-def _rowwise_counts(sorted_rows: np.ndarray, queries: np.ndarray):
-    """Per-row (<=, <) counts of queries against independently sorted rows.
-
-    sorted_rows is (D, n) with each row ascending; queries is (N, D) with
-    queries[:, d] counted against row d. Rows are affinely mapped onto
-    disjoint intervals so a single flat searchsorted handles all of them.
-    """
-    D, n = sorted_rows.shape
-    lo = sorted_rows[:, 0]
-    span = sorted_rows[:, -1] - lo
-    span[span <= 0.0] = 1.0
-    base = 2.0 * np.arange(D)
-    flat = ((sorted_rows - lo[:, None]) / span[:, None] + base[:, None]).ravel()
-    q = np.clip((queries - lo[None]) / span[None], -0.25, 1.25) + base[None]
-    offsets = (np.arange(D) * n)[None]
-    le = np.searchsorted(flat, q.ravel(), side="right").reshape(q.shape) - offsets
-    lt = np.searchsorted(flat, q.ravel(), side="left").reshape(q.shape) - offsets
-    return le, lt
-
-
-def _fm_td_depths(values: np.ndarray, sorted_ref: np.ndarray, tukey_dirs) -> np.ndarray:
-    """Integrand of FM1: per-gridpoint (random) Tukey depth, (N, m)."""
-    N, m, p = values.shape
-    if p == 1:
-        n = sorted_ref.shape[1]
-        depth = np.empty((N, m))
-        for t in range(m):
-            le, ge = _tukey_counts(sorted_ref[t], values[:, t, 0])
-            depth[:, t] = np.minimum(le, ge) / n
-        return depth
-    n = sorted_ref.shape[2]
-    proj = np.einsum("nmk,dk->nmd", values, tukey_dirs)  # (N, m, D)
-    depth = np.empty((N, m))
-    for t in range(m):
-        le, lt = _rowwise_counts(sorted_ref[t], proj[:, t, :])
-        depth[:, t] = np.minimum(le, n - lt).min(axis=1) / n
-    return depth
-
-
-def _rp_td_depths(proj_x: np.ndarray, sorted_proj: np.ndarray) -> np.ndarray:
-    """Direction-wise univariate Tukey depths averaged over directions: (N,)."""
-    N, NR = proj_x.shape
-    n = sorted_proj.shape[1]
-    depth = np.empty((N, NR))
-    for d in range(NR):
-        le, ge = _tukey_counts(sorted_proj[d], proj_x[:, d])
-        depth[:, d] = np.minimum(le, ge) / n
-    return depth.mean(axis=1)
+def _fm_td_depths(values: np.ndarray, dirs: np.ndarray, sorted_refs) -> list[np.ndarray]:
+    """FM1's integrand, (N, m) per-gridpoint (random) Tukey depths, against
+    each (m, D, n) sorted reference; one query sort per block serves all."""
+    proj = _fm_project(values, dirs)
+    m, D, N = proj.shape
+    depths = [np.empty((N, m)) for _ in sorted_refs]
+    step = max(1, 512 // D)  # grid points per call: one for 500 directions, all for p = 1
+    for t in range(0, m, step):
+        queries = proj[t:t + step].reshape(-1, N)
+        order = np.argsort(queries, axis=1)
+        for depth, ref in zip(depths, sorted_refs):
+            n = ref.shape[2]
+            counts = halfspace_counts(ref[t:t + step].reshape(-1, n), queries, order)
+            depth[:, t:t + step] = (counts.min(axis=0).reshape(-1, D, N).min(axis=1) / n).T
+    return depths
 
 
 def _rp_md_depths(proj_x: np.ndarray, moments) -> np.ndarray:
@@ -291,30 +286,40 @@ def _rp_md_depths(proj_x: np.ndarray, moments) -> np.ndarray:
     return depth.mean(axis=1)
 
 
+def _rp_td_depths(proj_x: np.ndarray, sorted_refs) -> list[np.ndarray]:
+    """Direction-wise univariate Tukey depths averaged over directions: one
+    (N,) array per (NR, n) sorted reference; the query sort is shared."""
+    order = np.argsort(proj_x.T, axis=1)
+    # C order: each curve's depths are summed as one row, whatever the batch
+    return [
+        np.divide(halfspace_counts(ref, proj_x.T, order).min(axis=0).T, ref.shape[1], order="C")
+        .mean(axis=1)
+        for ref in sorted_refs
+    ]
+
+
 def _score_matrix(model: TrainedModel, values: np.ndarray) -> np.ndarray:
-    """Per-group scores for a batch of curves: (N, K)."""
-    K = len(model.groups)
-    scores = np.empty((values.shape[0], K))
-    method = model.method
-    proj_x = None
-    if method in ("RP1", "RP2"):
-        proj_x = _project(values, model.rp_dirs, model.grid.weights)
-    for i in range(K):
-        if method == "RMD":
-            scores[:, i] = _rmd_scores(values, model.frames[i], model.mcd_fits[i])
-        elif method == "VOM":
-            scores[:, i] = _vom_scores(values, model.frames[i])
-        elif method == "FM2":
-            depth = _md_depths(values, model.frames[i])
-            scores[:, i] = depth @ model.grid.weights
-        elif method == "FM1":
-            depth = _fm_td_depths(values, model.fm_sorted[i], model.tukey_dirs)
-            scores[:, i] = depth @ model.grid.weights
-        elif method == "RP1":
-            scores[:, i] = _rp_td_depths(proj_x, model.rp_sorted[i])
-        else:
-            scores[:, i] = _rp_md_depths(proj_x, model.rp_moments[i])
-    return scores
+    """Per-group scores for a batch of curves: (N, K).
+
+    Depths are integrated by row sums, not a matrix product, so that a
+    curve's score does not depend on the rest of its batch.
+    """
+    method, w = model.method, model.grid.weights
+    if method == "RMD":
+        columns = [_rmd_scores(values, f, fit) for f, fit in zip(model.frames, model.mcd_fits)]
+    elif method == "VOM":
+        columns = [_vom_scores(values, frame) for frame in model.frames]
+    elif method == "FM2":
+        columns = [(_md_depths(values, frame) * w).sum(axis=1) for frame in model.frames]
+    elif method == "FM1":
+        depths = _fm_td_depths(values, model.tukey_dirs, model.sorted_proj)
+        columns = [(depth * w).sum(axis=1) for depth in depths]
+    elif method == "RP1":
+        columns = _rp_td_depths(_project(values, model.rp_dirs, w), model.sorted_proj)
+    else:
+        proj_x = _project(values, model.rp_dirs, w)
+        columns = [_rp_md_depths(proj_x, moments) for moments in model.rp_moments]
+    return np.stack(columns, axis=1)
 
 
 def _check_batch(model: TrainedModel, curves) -> np.ndarray:
@@ -387,18 +392,13 @@ def functional_depth_fm(
     if pointwise == "MD":
         depth = _md_depths(values, reference_frame(group))
     elif pointwise == "TD":
-        if group.p == 1:
-            sorted_ref = np.sort(group.values[:, :, 0].T, axis=1)
-            depth = _fm_td_depths(values, sorted_ref, None)
-        else:
-            if directions is None:
-                rng = np.random.default_rng(rng_seed)
-                directions = random_unit_directions(n_dirs, group.p, rng)
-            sorted_ref = np.sort(np.einsum("nmk,dk->mdn", group.values, directions), axis=2)
-            depth = _fm_td_depths(values, sorted_ref, directions)
+        if directions is None or group.p == 1:
+            directions = _tukey_directions(group.p, n_dirs, rng_seed)
+        sorted_ref = np.sort(_fm_project(group.values, directions), axis=2)
+        depth = _fm_td_depths(values, directions, [sorted_ref])[0]
     else:
         raise ValueError(f"pointwise must be TD or MD, got {pointwise!r}")
-    return float(depth[0] @ group.grid.weights)
+    return float((depth[0] * group.grid.weights).sum())
 
 
 def functional_depth_rp(
@@ -414,7 +414,7 @@ def functional_depth_rp(
     proj_x = _project(x0.values[None], directions, w)
     proj_g = _project(group.values, directions, w)
     if pointwise == "TD":
-        return float(_rp_td_depths(proj_x, np.sort(proj_g.T, axis=1))[0])
+        return float(_rp_td_depths(proj_x, [np.sort(proj_g.T, axis=1)])[0][0])
     if pointwise == "MD":
         moments = (proj_g.mean(axis=0), proj_g.var(axis=0, ddof=1))
         return float(_rp_md_depths(proj_x, moments)[0])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import DegenerateDataError
 
@@ -31,6 +30,7 @@ def default_h(n: int, d: int) -> int:
 
 def consistency_factor(h: int, n: int, d: int) -> float:
     """Chi-square scaling making the subset covariance consistent for Gaussians."""
+    from scipy.stats import chi2  # imported here: scipy.stats dominates `import dirout`
     frac = h / n
     if frac >= 1.0:
         return 1.0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirout.classify import (
     ClassifierConfig,
     functional_depth_fm,
     functional_depth_rp,
+    halfspace_counts,
     predict,
     predict_batch,
     predict_maxdepth,
@@ -147,6 +150,75 @@ class TestFunctionalDepthFm:
             x = x0.values[t, 0]
             oracle += w[t] * min((cloud <= x).sum(), (cloud >= x).sum()) / 7
         assert functional_depth_fm(x0, grp, "TD") == pytest.approx(oracle, abs=1e-12)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+quantized = st.integers(-3, 3).map(lambda k: k / 4)  # few distinct values: ties
+
+
+@st.composite
+def count_problems(draw):
+    """Sorted reference rows and queries that sit on, one ulp beside, or away
+    from reference values."""
+    R, n, N = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = st.one_of(quantized, finite)
+    ref = np.sort(np.array(draw(st.lists(values, min_size=R * n, max_size=R * n))).reshape(R, n))
+    queries = np.empty((R, N))
+    for r in range(R):
+        for j in range(N):
+            base = ref[r, draw(st.integers(0, n - 1))]
+            queries[r, j] = draw(st.one_of(
+                st.sampled_from([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)]),
+                values,
+            ))
+    return ref, queries
+
+
+class TestHalfspaceCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(count_problems())
+    def test_matches_brute_force(self, problem):
+        ref, queries = problem
+        le, ge = halfspace_counts(ref, queries)
+        for r in range(ref.shape[0]):
+            for j, q in enumerate(queries[r]):
+                assert le[r, j] == np.count_nonzero(ref[r] <= q)
+                assert ge[r, j] == np.count_nonzero(ref[r] >= q)
+
+    def test_fm1_query_one_ulp_above_a_reference_projection(self):
+        # axis directions project exactly, so the oracle counts coordinates;
+        # the x axis comes last, where mapping each row onto its own offset
+        # interval would round the one-ulp gap away
+        rng = np.random.default_rng(40)
+        n, m = 9, 10
+        grp = FunctionalGroup.from_values("g", 1.0 + rng.random((n, m, 2)), uniform_grid(m))
+        dirs = np.array([[0.0, 1.0]] * 7 + [[1.0, 0.0]])
+        x0 = np.empty((m, 2))
+        x0[:, 0] = np.nextafter(np.sort(grp.values[:, :, 0], axis=0)[-2], np.inf)
+        x0[:, 1] = np.median(grp.values[:, :, 1], axis=0)
+        oracle = 0.0
+        for t in range(m):
+            depth = min(
+                min(np.count_nonzero(c <= x), np.count_nonzero(c >= x)) / n
+                for c, x in zip(grp.values[:, t, :].T, x0[t])
+            )
+            oracle += grp.grid.weights[t] * depth
+        depth = functional_depth_fm(Curve(x0, grp.grid), grp, "TD", directions=dirs)
+        assert depth == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "method,p", [("FM1", 1), ("FM1", 2), ("FM2", 2), ("RP1", 1), ("RP1", 2), ("RP2", 2)]
+    )
+    def test_batch_scores_equal_single_predictions(self, method, p):
+        rng = np.random.default_rng(41)
+        g1 = gaussian_group(rng, "a", n=20, p=p)
+        g2 = gaussian_group(rng, "b", n=20, p=p, shift=0.5)
+        # include a reference curve itself, tied with it in every direction
+        queries = [Curve(v, g1.grid) for v in rng.normal(size=(13, 10, p))] + [g1.curves[3]]
+        model = train([g1, g2], method, ClassifierConfig(tukey_n_dirs=60), rng_seed=42)
+        batch = predict_batch(model, queries)
+        for curve, pred in zip(queries, batch):
+            assert np.array_equal(predict(model, curve).scores, pred.scores)
 
 
 class TestFunctionalDepthRp:
