@@ -51,6 +51,11 @@ class ClassifierConfig:
     tukey_n_dirs: int = 500
     mcd_h: int | None = None
 
+    def __post_init__(self):
+        for name in ("n_projections", "tukey_n_dirs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True, eq=False)
 class Prediction:

@@ -9,6 +9,8 @@ observation interval.
 from __future__ import annotations
 
 import csv
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -216,15 +218,48 @@ def write_groups_csv(groups, path) -> None:
                     writer.writerow(row)
 
 
+def _row_error(table: array, width: int, stop: int, starts, curves, blanks):
+    """The error for the first of data rows [0, stop) with a non-finite value or
+    a t not above the t before it in its curve, or None if there is none.
+
+    ``table`` holds the parsed rows back to back, ``width`` values each;
+    curve k, the k-th key of ``curves``, starts at data row ``starts[k]``;
+    ``blanks`` lists, per skipped blank record, the data rows read before it,
+    so that data row i is CSV record i + 2 + (blank records before it).
+    """
+    rows = np.frombuffer(table, dtype=float, count=stop * width).reshape(stop, width)
+    finite = np.isfinite(rows).all(axis=1)
+    t = rows[:, 0]
+    rising = np.ones(stop, dtype=bool)
+    rising[1:] = t[1:] > t[:-1]
+    rising[starts] = True  # every start lies before ``stop``
+    ok = finite & rising
+    if not ok.all():
+        i = int(np.argmin(ok))
+        rownum = i + 2 + bisect_right(blanks, i)
+        if not finite[i]:
+            return CsvFormatError("non-finite value", row=rownum)
+        cid = list(curves)[bisect_right(starts, i) - 1]
+        return CsvFormatError(f"t values of curve {cid!r} not increasing", row=rownum)
+    return None
+
+
 def read_groups_csv(path):
     """Read the long-format curves CSV into groups keyed by the group column.
 
+    Values are parsed with Python ``float``. A curve's rows must be contiguous,
+    with strictly increasing ``t``, and every curve must share the first
+    curve's grid; blank records are skipped.
+
     Returns:
         (groups, report): groups is a dict label -> FunctionalGroup with labels
-        in sorted order; report is a dict with keys ``n_per_group``, ``m``, ``p``.
+        in sorted order; report is a dict with keys ``n_per_group``, ``m``,
+        ``p`` and ``curve_ids`` (label -> curve ids in file order).
 
     Raises:
-        CsvFormatError: on schema violations, carrying the offending row number.
+        CsvFormatError: on schema violations. A violation found in a row
+            carries the row's 1-based CSV record number (the header is record
+            1, blank records count); the first offending record is reported.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -242,64 +277,82 @@ def read_groups_csv(path):
         if p < 1 or comp_names != [f"c{k + 1}" for k in range(p)]:
             raise CsvFormatError("component columns must be named c1..cp", row=1)
 
-        # curve_id -> (group, [t...], [values...])
-        order: list[str] = []
-        by_curve: dict[str, tuple[str, list, list]] = {}
-        prev_cid = None
+        # One pass that stores columns: t, c1..cp of every data row back to
+        # back in ``table``; id, group and first data row once per curve.
+        width = 1 + p
+        table = array("d")
+        extend = table.extend
+        curves: dict[str, str] = {}  # curve id -> group, in file order
+        starts: list[int] = []
+        blanks: list[int] = []
+        cid = label = None
         for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3 + p:
-                raise CsvFormatError(
-                    f"expected {3 + p} fields, found {len(row)}", row=rownum
+            if len(row) != 2 + width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    blanks.append(len(table) // width)
+                    continue
+                raise _row_error(table, width, len(table) // width, starts, curves, blanks) or (
+                    CsvFormatError(f"expected {2 + width} fields, found {len(row)}", row=rownum)
                 )
-            cid, glabel = row[0], row[1]
             try:
-                t = float(row[2])
-                comps = [float(v) for v in row[3:]]
-            except ValueError:
-                raise CsvFormatError("non-numeric value", row=rownum) from None
-            if not np.all(np.isfinite([t] + comps)):
-                raise CsvFormatError("non-finite value", row=rownum)
-            if cid not in by_curve:
-                by_curve[cid] = (glabel, [], [])
-                order.append(cid)
-            elif prev_cid != cid:
-                raise CsvFormatError(f"rows of curve {cid!r} are not contiguous", row=rownum)
-            entry = by_curve[cid]
-            if entry[0] != glabel:
-                raise CsvFormatError(
-                    f"curve {cid!r} listed under two groups ({entry[0]!r}, {glabel!r})",
-                    row=rownum,
+                extend(map(float, row[2:]))
+            except ValueError:  # _row_error reads whole rows: a partial one is ignored
+                raise _row_error(table, width, len(table) // width, starts, curves, blanks) or (
+                    CsvFormatError("non-numeric value", row=rownum)
+                ) from None
+            if row[0] == cid and row[1] == label:
+                continue
+            if row[0] != cid and row[0] not in curves:
+                cid, label = row[0], row[1]
+                curves[cid] = label
+                starts.append(len(table) // width - 1)
+                continue
+            if row[0] != cid:
+                error = CsvFormatError(f"rows of curve {row[0]!r} are not contiguous", row=rownum)
+            else:
+                error = CsvFormatError(
+                    f"curve {cid!r} listed under two groups ({label!r}, {row[1]!r})", row=rownum
                 )
-            if entry[1] and t <= entry[1][-1]:
-                raise CsvFormatError(f"t values of curve {cid!r} not increasing", row=rownum)
-            entry[1].append(t)
-            entry[2].append(comps)
-            prev_cid = cid
+            if not np.isfinite(table[-width:]).all():
+                error = CsvFormatError("non-finite value", row=rownum)
+            raise _row_error(table, width, len(table) // width - 1, starts, curves, blanks) or error
 
-    if not order:
+    nrows = len(table) // width
+    if not nrows:
         raise CsvFormatError("file contains no data rows")
-    ref_cid = order[0]
-    ref_t = np.asarray(by_curve[ref_cid][1])
-    grid = Grid(ref_t)
-    groups_curves: dict[str, list[tuple[str, Curve]]] = {}
-    for cid in order:
-        glabel, ts, vals = by_curve[cid]
-        if len(ts) != ref_t.size or not np.array_equal(np.asarray(ts), ref_t):
-            raise CsvFormatError(
-                f"curve {cid!r} is sampled on a different grid than curve {ref_cid!r}"
-            )
-        groups_curves.setdefault(glabel, []).append((cid, Curve(np.asarray(vals), grid)))
+    error = _row_error(table, width, nrows, starts, curves, blanks)
+    if error is not None:
+        raise error
+    rows = np.frombuffer(table, dtype=float).reshape(nrows, width)
+    t = rows[:, 0]
+    lengths = np.diff(np.append(starts, nrows))
+    m = int(lengths[0])
+    grid = Grid(t[:m].copy())
+    cids = list(curves)
+    n = len(cids)
+    # curves before the first one of another length fill the first rows
+    same_length = lengths == m
+    full = n if same_length.all() else int(np.argmin(same_length))
+    same = np.all(t[: full * m].reshape(full, m) == grid.points, axis=1)
+    bad = full if np.all(same) else int(np.argmin(same))
+    if bad < n:
+        raise CsvFormatError(
+            f"curve {cids[bad]!r} is sampled on a different grid than curve {cids[0]!r}"
+        )
 
+    values = rows[:, 1:].reshape(n, m, p)
+    members: dict[str, list[int]] = {}
+    for i, label in enumerate(curves.values()):
+        members.setdefault(label, []).append(i)
+    members = dict(sorted(members.items()))
     groups = {
-        label: FunctionalGroup(label, tuple(c for _, c in pairs))
-        for label, pairs in sorted(groups_curves.items())
+        label: FunctionalGroup.from_values(label, values[idx], grid)
+        for label, idx in members.items()
     }
     report = {
         "n_per_group": {label: g.n for label, g in groups.items()},
         "m": grid.m,
         "p": p,
-        "curve_ids": {label: [cid for cid, _ in pairs] for label, pairs in sorted(groups_curves.items())},
+        "curve_ids": {label: [cids[i] for i in idx] for label, idx in members.items()},
     }
     return groups, report

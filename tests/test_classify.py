@@ -32,6 +32,12 @@ def gaussian_group(rng, label, n=20, m=10, p=1, shift=0.0):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("field", ["n_projections", "tukey_n_dirs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+            ClassifierConfig(**{field: value})
+
     def test_identical_groups_tie_to_first_label(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(15, 10, 1))

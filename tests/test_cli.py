@@ -93,3 +93,15 @@ def test_error_exit_code(tmp_path, capsys):
     rc = main(["bench", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_classify_rejects_zero_tukey_directions(tmp_path, capsys):
+    data = tmp_path / "d4.csv"
+    assert main(["simulate", "--data", "4", "--class", "0", "--n", "5", "--m", "8",
+                 "--out", str(data)]) == 0
+    out = tmp_path / "pred.csv"
+    rc = main(["classify", "--train", str(data), "--test", str(data), "--method", "FM1",
+               "--tukey-n-dirs", "0", "--out", str(out)])
+    assert rc == 1
+    assert "error: tukey_n_dirs must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
