@@ -20,13 +20,8 @@ from .classify import (
     ClassifierConfig,
     Prediction,
     TrainedModel,
-    functional_depth_fm,
-    functional_depth_rp,
     predict,
     predict_batch,
-    predict_maxdepth,
-    predict_rmd,
-    predict_vom,
     rp_directions,
     train,
 )
@@ -48,12 +43,7 @@ from .outlyingness import (
     summarize,
     summarize_values,
 )
-from .pointwise import (
-    geometric_median,
-    mahalanobis_depth,
-    random_tukey_depth,
-    tukey_depth_1d,
-)
+from .pointwise import geometric_medians_batch
 from .robust import McdFit, c_step, consistency_factor, default_h, mcd_fit, rmd
 from .simulate import (
     BivariateMaternCov,

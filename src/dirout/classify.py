@@ -11,16 +11,17 @@ Mahalanobis). The query curve is never pooled into a reference group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .curves import Curve, FunctionalGroup, Grid
-from .outlyingness import ReferenceFrame, reference_frame, summarize_values
+from .outlyingness import ReferenceFrame, reference_frame, squared_mahalanobis, summarize_values
 from .pointwise import random_unit_directions
-from .robust import McdFit, mcd_fit
+from .robust import mcd_fit, rmd
 from .seeding import derive_seed
-from .simulate import _cholesky_with_jitter
+from .simulate import cholesky_with_jitter
 
 __all__ = [
     "METHODS",
@@ -30,17 +31,9 @@ __all__ = [
     "train",
     "predict",
     "predict_batch",
-    "predict_rmd",
-    "predict_vom",
-    "predict_maxdepth",
-    "functional_depth_fm",
-    "functional_depth_rp",
     "halfspace_counts",
     "rp_directions",
 ]
-
-METHODS = ("RMD", "VOM", "FM1", "FM2", "RP1", "RP2")
-_OUTLYINGNESS_METHODS = ("RMD", "VOM")
 
 
 @dataclass(frozen=True)
@@ -69,10 +62,11 @@ class Prediction:
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Per-group reference data plus method-specific precomputations.
+    """Per-group reference data plus the method's frozen state.
 
-    Everything a prediction needs is computed at training time; the model is
-    read-only afterwards and safe to share across workers.
+    Everything a prediction needs is computed at training time, by the
+    method's fit function in ``_METHODS``; the model is read-only afterwards
+    and safe to share across workers.
     """
 
     method: str
@@ -80,13 +74,7 @@ class TrainedModel:
     groups: tuple[FunctionalGroup, ...]
     config: ClassifierConfig
     seed: int
-    frames: tuple[ReferenceFrame, ...] | None = None
-    mcd_fits: tuple[McdFit, ...] | None = None
-    rp_dirs: np.ndarray | None = None  # (NR, m, p), shared across groups
-    rp_moments: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=())
-    tukey_dirs: np.ndarray | None = None  # (D, p) for FM1; the direction 1 when p = 1
-    # per group, sorted reference projections: (NR, n) for RP1, (m, D, n) for FM1
-    sorted_proj: tuple[np.ndarray, ...] = field(default=())
+    state: object
 
     @property
     def grid(self) -> Grid:
@@ -111,7 +99,7 @@ def rp_directions(n_dirs: int, grid: Grid, p: int, rng) -> np.ndarray:
     t = grid.points
     theta = RP_DIRECTION_THETA * (t[-1] - t[0])
     cov = np.exp(-np.abs(t[:, None] - t[None, :]) / theta)
-    factor = _cholesky_with_jitter(cov)
+    factor = cholesky_with_jitter(cov)
     dirs = rng.standard_normal((n_dirs, p, grid.m)) @ factor.T
     dirs = dirs.transpose(0, 2, 1)  # (n_dirs, m, p)
     norms = np.sqrt(np.einsum("m,dmk,dmk->d", grid.weights, dirs, dirs))
@@ -153,13 +141,6 @@ def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray, order=None):
     return counts.reshape(2, R, N)
 
 
-def _tukey_directions(p: int, n_dirs: int, seed: int) -> np.ndarray:
-    """FM1's (D, p) directions; for p = 1 the direction 1: exact halfspace depth."""
-    if p == 1:
-        return np.ones((1, 1))
-    return random_unit_directions(n_dirs, p, np.random.default_rng(seed))
-
-
 def _fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Projections onto the Tukey directions, (N, m, p) -> (m, D, N), made the
     same way for references and queries so that equal curves tie exactly."""
@@ -186,51 +167,12 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
         if not g.grid.same_points(grid) or g.p != p:
             raise ValueError("all groups must share grid and dimension")
     config = config or ClassifierConfig()
+    state = _METHODS[method].fit(groups, config, rng_seed)
+    return TrainedModel(method, labels, groups, config, rng_seed, state)
 
-    frames = mcd_fits = rp_dirs = tukey_dirs = None
-    rp_moments: tuple = ()
-    sorted_proj: tuple = ()
 
-    if method in ("RMD", "VOM", "FM2"):
-        frames = tuple(reference_frame(g) for g in groups)
-    if method == "RMD":
-        fits = []
-        for i, g in enumerate(groups):
-            if g.n < p + 4:
-                raise ValueError(
-                    f"group {g.label!r} has n={g.n}; RMD needs at least p+4={p + 4}"
-                )
-            feats = _features(g.values, frames[i])
-            h = config.mcd_h
-            fits.append(mcd_fit(feats, h=h, rng_seed=derive_seed(rng_seed, 1, i)))
-        mcd_fits = tuple(fits)
-    elif method in ("RP1", "RP2"):
-        rng = np.random.default_rng(derive_seed(rng_seed, 2))
-        rp_dirs = rp_directions(config.n_projections, grid, p, rng)
-        projections = [_project(g.values, rp_dirs, grid.weights) for g in groups]
-        if method == "RP1":
-            sorted_proj = tuple(np.sort(proj.T, axis=1) for proj in projections)
-        else:
-            rp_moments = tuple(
-                (proj.mean(axis=0), proj.var(axis=0, ddof=1)) for proj in projections
-            )
-    elif method == "FM1":
-        tukey_dirs = _tukey_directions(p, config.tukey_n_dirs, derive_seed(rng_seed, 3))
-        sorted_proj = tuple(np.sort(_fm_project(g.values, tukey_dirs), axis=2) for g in groups)
-
-    return TrainedModel(
-        method=method,
-        labels=labels,
-        groups=groups,
-        config=config,
-        seed=rng_seed,
-        frames=frames,
-        mcd_fits=mcd_fits,
-        rp_dirs=rp_dirs,
-        rp_moments=rp_moments,
-        tukey_dirs=tukey_dirs,
-        sorted_proj=sorted_proj,
-    )
+def _frames(groups, config, seed) -> tuple[ReferenceFrame, ...]:
+    return tuple(reference_frame(g) for g in groups)
 
 
 def _features(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
@@ -239,28 +181,54 @@ def _features(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
     return np.hstack([summaries.mo, summaries.vo[:, None]])
 
 
-def _rmd_scores(values: np.ndarray, frame: ReferenceFrame, fit: McdFit) -> np.ndarray:
-    feats = _features(values, frame)
-    diff = feats - fit.location
-    d2 = np.einsum("ni,in->n", diff, np.linalg.solve(fit.scatter, diff.T))
-    return np.sqrt(np.maximum(d2, 0.0))
+def _rmd_fit(groups, config, seed):
+    """Each group's frame and the MCD fit of its (MO, VO) features."""
+    frames = _frames(groups, config, seed)
+    fits = []
+    for i, (g, frame) in enumerate(zip(groups, frames)):
+        if g.n < g.p + 4:
+            raise ValueError(f"group {g.label!r} has n={g.n}; RMD needs at least p+4={g.p + 4}")
+        feats = _features(g.values, frame)
+        fits.append(mcd_fit(feats, h=config.mcd_h, rng_seed=derive_seed(seed, 1, i)))
+    return frames, tuple(fits)
 
 
-def _vom_scores(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
-    vom = summarize_values(values, frame).vom
-    return np.sqrt(np.einsum("nij,nij->n", vom, vom))
+def _rmd_score(state, values: np.ndarray) -> np.ndarray:
+    frames, fits = state
+    return np.stack([rmd(_features(values, f), fit) for f, fit in zip(frames, fits)], axis=1)
 
 
-def _md_depths(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
-    """Point-wise Mahalanobis depths of a batch: (N, m)."""
-    diff = values - frame.means[None]
-    maha2 = np.einsum("nmi,mij,nmj->nm", diff, frame.inv_cov, diff)
-    return 1.0 / (1.0 + np.maximum(maha2, 0.0))
+def _vom_score(frames, values: np.ndarray) -> np.ndarray:
+    voms = [summarize_values(values, frame).vom for frame in frames]
+    return np.stack([np.sqrt(np.einsum("nij,nij->n", vom, vom)) for vom in voms], axis=1)
 
 
-def _fm_td_depths(values: np.ndarray, dirs: np.ndarray, sorted_refs) -> list[np.ndarray]:
-    """FM1's integrand, (N, m) per-gridpoint (random) Tukey depths, against
-    each (m, D, n) sorted reference; one query sort per block serves all."""
+def _fm2_score(frames, values: np.ndarray) -> np.ndarray:
+    """Integrated point-wise Mahalanobis depth 1 / (1 + squared distance)."""
+    return np.stack(
+        [(1.0 / (1.0 + squared_mahalanobis(values, f)) * f.weights).sum(axis=1) for f in frames],
+        axis=1,
+    )
+
+
+def _fm1_fit(groups, config, seed):
+    """(D, p) Tukey directions; for p = 1 the direction 1: exact halfspace depth."""
+    p, rng = groups[0].p, np.random.default_rng(derive_seed(seed, 3))
+    dirs = np.ones((1, 1)) if p == 1 else random_unit_directions(config.tukey_n_dirs, p, rng)
+    return _fm1_state(groups, dirs)
+
+
+def _fm1_state(groups, dirs: np.ndarray):
+    """The directions, the grid weights, and each group's (m, D, n) sorted
+    projections onto the directions."""
+    sorted_proj = tuple(np.sort(_fm_project(g.values, dirs), axis=2) for g in groups)
+    return dirs, groups[0].grid.weights, sorted_proj
+
+
+def _fm1_score(state, values: np.ndarray) -> np.ndarray:
+    """Integrated point-wise (random) Tukey depth; one query sort per block of
+    grid points serves every group."""
+    dirs, w, sorted_refs = state
     proj = _fm_project(values, dirs)
     m, D, N = proj.shape
     depths = [np.empty((N, m)) for _ in sorted_refs]
@@ -272,7 +240,47 @@ def _fm_td_depths(values: np.ndarray, dirs: np.ndarray, sorted_refs) -> list[np.
             n = ref.shape[2]
             counts = halfspace_counts(ref[t:t + step].reshape(-1, n), queries, order)
             depth[:, t:t + step] = (counts.min(axis=0).reshape(-1, D, N).min(axis=1) / n).T
-    return depths
+    return np.stack([(depth * w).sum(axis=1) for depth in depths], axis=1)
+
+
+def _rp_projections(groups, config, seed):
+    """Shared directions, the weights, and each group's (n, NR) projections."""
+    grid, rng = groups[0].grid, np.random.default_rng(derive_seed(seed, 2))
+    dirs = rp_directions(config.n_projections, grid, groups[0].p, rng)
+    return dirs, grid.weights, [_project(g.values, dirs, grid.weights) for g in groups]
+
+
+def _rp1_fit(groups, config, seed):
+    dirs, w, projections = _rp_projections(groups, config, seed)
+    return dirs, w, tuple(np.sort(proj.T, axis=1) for proj in projections)
+
+
+def _rp1_score(state, values: np.ndarray) -> np.ndarray:
+    """Direction-wise univariate Tukey depths averaged over directions; the
+    query sort is shared across groups."""
+    dirs, w, sorted_refs = state
+    proj_x = _project(values, dirs, w).T
+    order = np.argsort(proj_x, axis=1)
+    # C order: each curve's depths are summed as one row, whatever the batch
+    return np.stack(
+        [
+            np.divide(halfspace_counts(ref, proj_x, order).min(axis=0).T, ref.shape[1], order="C")
+            .mean(axis=1)
+            for ref in sorted_refs
+        ],
+        axis=1,
+    )
+
+
+def _rp2_fit(groups, config, seed):
+    dirs, w, projections = _rp_projections(groups, config, seed)
+    return dirs, w, tuple((proj.mean(axis=0), proj.var(axis=0, ddof=1)) for proj in projections)
+
+
+def _rp2_score(state, values: np.ndarray) -> np.ndarray:
+    dirs, w, moments = state
+    proj_x = _project(values, dirs, w)
+    return np.stack([_rp_md_depths(proj_x, mom) for mom in moments], axis=1)
 
 
 def _rp_md_depths(proj_x: np.ndarray, moments) -> np.ndarray:
@@ -291,40 +299,28 @@ def _rp_md_depths(proj_x: np.ndarray, moments) -> np.ndarray:
     return depth.mean(axis=1)
 
 
-def _rp_td_depths(proj_x: np.ndarray, sorted_refs) -> list[np.ndarray]:
-    """Direction-wise univariate Tukey depths averaged over directions: one
-    (N,) array per (NR, n) sorted reference; the query sort is shared."""
-    order = np.argsort(proj_x.T, axis=1)
-    # C order: each curve's depths are summed as one row, whatever the batch
-    return [
-        np.divide(halfspace_counts(ref, proj_x.T, order).min(axis=0).T, ref.shape[1], order="C")
-        .mean(axis=1)
-        for ref in sorted_refs
-    ]
+class _Method(NamedTuple):
+    fit: Callable  # (groups, config, seed) -> the method's frozen state
+    score: Callable  # (state, values (N, m, p)) -> scores (N, K)
+    higher_is_better: bool
 
 
-def _score_matrix(model: TrainedModel, values: np.ndarray) -> np.ndarray:
-    """Per-group scores for a batch of curves: (N, K).
-
-    Depths are integrated by row sums, not a matrix product, so that a
-    curve's score does not depend on the rest of its batch.
-    """
-    method, w = model.method, model.grid.weights
-    if method == "RMD":
-        columns = [_rmd_scores(values, f, fit) for f, fit in zip(model.frames, model.mcd_fits)]
-    elif method == "VOM":
-        columns = [_vom_scores(values, frame) for frame in model.frames]
-    elif method == "FM2":
-        columns = [(_md_depths(values, frame) * w).sum(axis=1) for frame in model.frames]
-    elif method == "FM1":
-        depths = _fm_td_depths(values, model.tukey_dirs, model.sorted_proj)
-        columns = [(depth * w).sum(axis=1) for depth in depths]
-    elif method == "RP1":
-        columns = _rp_td_depths(_project(values, model.rp_dirs, w), model.sorted_proj)
-    else:
-        proj_x = _project(values, model.rp_dirs, w)
-        columns = [_rp_md_depths(proj_x, moments) for moments in model.rp_moments]
-    return np.stack(columns, axis=1)
+# Each classifier, defined once. The state its fit returns:
+#   RMD: (frames, MCD fits); VOM and FM2: one frame per group;
+#   FM1: (directions (D, p), weights, sorted projections (m, D, n) per group);
+#   RP1: (directions (NR, m, p), weights, sorted projections (NR, n) per group);
+#   RP2: (directions, weights, projection (mean, variance) per group).
+# Depths are integrated by row sums, not a matrix product, so that a curve's
+# score does not depend on its batch.
+_METHODS = {
+    "RMD": _Method(_rmd_fit, _rmd_score, False),
+    "VOM": _Method(_frames, _vom_score, False),
+    "FM1": _Method(_fm1_fit, _fm1_score, True),
+    "FM2": _Method(_frames, _fm2_score, True),
+    "RP1": _Method(_rp1_fit, _rp1_score, True),
+    "RP2": _Method(_rp2_fit, _rp2_score, True),
+}
+METHODS = tuple(_METHODS)
 
 
 def _check_batch(model: TrainedModel, curves) -> np.ndarray:
@@ -342,8 +338,9 @@ def _check_batch(model: TrainedModel, curves) -> np.ndarray:
 def predict_batch(model: TrainedModel, curves) -> list[Prediction]:
     """Classify many curves at once; ties go to the smallest group index."""
     values = _check_batch(model, curves)
-    scores = _score_matrix(model, values)
-    higher = model.method not in _OUTLYINGNESS_METHODS
+    method = _METHODS[model.method]
+    scores = method.score(model.state, values)
+    higher = method.higher_is_better
     best = np.argmax(scores, axis=1) if higher else np.argmin(scores, axis=1)
     return [
         Prediction(model.labels[best[i]], model.labels, scores[i], higher)
@@ -354,73 +351,3 @@ def predict_batch(model: TrainedModel, curves) -> list[Prediction]:
 def predict(model: TrainedModel, x0: Curve) -> Prediction:
     """Classify a single curve with the model's method."""
     return predict_batch(model, [x0])[0]
-
-
-def predict_rmd(model: TrainedModel, x0: Curve) -> Prediction:
-    """Assign to the group minimizing the robust Mahalanobis feature distance."""
-    if model.method != "RMD":
-        raise ValueError(f"model method is {model.method}, expected RMD")
-    return predict(model, x0)
-
-
-def predict_vom(model: TrainedModel, x0: Curve) -> Prediction:
-    """Assign to the group minimizing the Frobenius norm of the outlyingness matrix."""
-    if model.method != "VOM":
-        raise ValueError(f"model method is {model.method}, expected VOM")
-    return predict(model, x0)
-
-
-def predict_maxdepth(model: TrainedModel, x0: Curve) -> Prediction:
-    """Assign to the group where the curve attains maximal functional depth."""
-    if model.method not in ("FM1", "FM2", "RP1", "RP2"):
-        raise ValueError(f"model method is {model.method}, expected FM1/FM2/RP1/RP2")
-    return predict(model, x0)
-
-
-def functional_depth_fm(
-    x0: Curve,
-    group: FunctionalGroup,
-    pointwise: str = "MD",
-    n_dirs: int = 500,
-    rng_seed: int = 0,
-    directions: np.ndarray | None = None,
-) -> float:
-    """Integrated point-wise depth of a curve within a group.
-
-    ``pointwise`` selects the point-wise depth: "TD" (random Tukey for p >= 2,
-    exact univariate halfspace for p = 1) or "MD" (Mahalanobis). Directions
-    for the multivariate Tukey case may be passed in to pair evaluations
-    across groups; otherwise they are drawn from ``rng_seed``.
-    """
-    pointwise = pointwise.upper()
-    values = x0.values[None]
-    if pointwise == "MD":
-        depth = _md_depths(values, reference_frame(group))
-    elif pointwise == "TD":
-        if directions is None or group.p == 1:
-            directions = _tukey_directions(group.p, n_dirs, rng_seed)
-        sorted_ref = np.sort(_fm_project(group.values, directions), axis=2)
-        depth = _fm_td_depths(values, directions, [sorted_ref])[0]
-    else:
-        raise ValueError(f"pointwise must be TD or MD, got {pointwise!r}")
-    return float((depth[0] * group.grid.weights).sum())
-
-
-def functional_depth_rp(
-    x0: Curve, group: FunctionalGroup, pointwise: str, directions: np.ndarray
-) -> float:
-    """Random-projection depth: mean direction-wise univariate depth.
-
-    ``directions`` is an (NR, m, p) array of projection functions, drawn once
-    and shared across the groups being compared.
-    """
-    pointwise = pointwise.upper()
-    w = group.grid.weights
-    proj_x = _project(x0.values[None], directions, w)
-    proj_g = _project(group.values, directions, w)
-    if pointwise == "TD":
-        return float(_rp_td_depths(proj_x, [np.sort(proj_g.T, axis=1)])[0][0])
-    if pointwise == "MD":
-        moments = (proj_g.mean(axis=0), proj_g.var(axis=0, ddof=1))
-        return float(_rp_md_depths(proj_x, moments)[0])
-    raise ValueError(f"pointwise must be TD or MD, got {pointwise!r}")

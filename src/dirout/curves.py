@@ -249,7 +249,7 @@ def read_groups_csv(path):
 
     Values are parsed with Python ``float``. A curve's rows must be contiguous,
     with strictly increasing ``t``, and every curve must share the first
-    curve's grid; blank records are skipped.
+    curve's grid of at least two points; blank records are skipped.
 
     Returns:
         (groups, report): groups is a dict label -> FunctionalGroup with labels
@@ -327,8 +327,12 @@ def read_groups_csv(path):
     t = rows[:, 0]
     lengths = np.diff(np.append(starts, nrows))
     m = int(lengths[0])
-    grid = Grid(t[:m].copy())
     cids = list(curves)
+    if m < 2:
+        raise CsvFormatError(
+            f"curve {cids[0]!r} has a single time point; the grid needs at least 2"
+        )
+    grid = Grid(t[:m].copy())
     n = len(cids)
     # curves before the first one of another length fill the first rows
     same_length = lengths == m

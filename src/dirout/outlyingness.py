@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import Curve, FunctionalGroup, Grid
 from .errors import SingularScatterError
-from .pointwise import COND_LIMIT, RIDGE_EPS, geometric_medians_batch
+from .pointwise import geometric_medians_batch
 
 __all__ = [
     "ReferenceFrame",
@@ -27,8 +27,14 @@ __all__ = [
     "pointwise_outlyingness",
     "summarize",
     "summarize_values",
+    "squared_mahalanobis",
     "check_transformation_invariance",
 ]
+
+# Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
+# the diagonal, only where the eigenvalue ratio exceeds COND_LIMIT.
+RIDGE_EPS = 1e-10
+COND_LIMIT = 1e12
 
 # Below this distance from the point-wise median the direction is undefined
 # and the outlyingness vector is taken to be zero.
@@ -101,11 +107,17 @@ def _build_frame(group: FunctionalGroup) -> ReferenceFrame:
     return ReferenceFrame(group.grid, n, p, means, inv_cov, medians)
 
 
-def _outlyingness_values(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
-    """Outlyingness vectors for a batch of curves: (N, m, p) -> (N, m, p)."""
+def squared_mahalanobis(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
+    """Point-wise squared Mahalanobis distances of a batch of curves to the
+    frame's means, clipped at zero: (N, m, p) -> (N, m)."""
     diff = values - frame.means[None]
     maha2 = np.einsum("nmi,mij,nmj->nm", diff, frame.inv_cov, diff)
-    np.maximum(maha2, 0.0, out=maha2)
+    return np.maximum(maha2, 0.0, out=maha2)
+
+
+def _outlyingness_values(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
+    """Outlyingness vectors for a batch of curves: (N, m, p) -> (N, m, p)."""
+    maha2 = squared_mahalanobis(values, frame)
     dev = values - frame.medians[None]
     dist = np.linalg.norm(dev, axis=2)
     safe = np.maximum(dist, ZERO_DIRECTION_TOL)

@@ -1,90 +1,15 @@
-"""Point-wise depths and medians for finite-dimensional clouds.
-
-These are the building blocks evaluated at a single grid point: Mahalanobis
-depth, univariate and random-projection Tukey depth, and the geometric
-(spatial) median that anchors the direction of outlyingness.
+"""Point-wise building blocks evaluated across the grid: random unit
+directions for random Tukey depth, and the geometric (spatial) medians that
+anchor the direction of outlyingness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularScatterError
+from .errors import ConvergenceError
 
-__all__ = [
-    "mahalanobis_depth",
-    "tukey_depth_1d",
-    "random_tukey_depth",
-    "geometric_median",
-    "random_unit_directions",
-]
-
-# Ridge applied to near-singular covariances: eps * trace(S)/d on the diagonal,
-# only when the condition number exceeds COND_LIMIT.
-RIDGE_EPS = 1e-10
-COND_LIMIT = 1e12
-
-
-def _as_cloud(cloud) -> np.ndarray:
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError(f"cloud must be (n >= 2, d), got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("cloud must be finite")
-    return pts
-
-
-def regularized_covariance(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and covariance (divisor n-1), ridged if ill-conditioned.
-
-    Raises:
-        SingularScatterError: if the covariance is singular even after the ridge.
-    """
-    n, d = points.shape
-    mean = points.mean(axis=0)
-    cov = np.atleast_2d(np.cov(points, rowvar=False))
-    trace = float(np.trace(cov))
-    if trace <= 0.0:
-        raise SingularScatterError("point cloud has zero scatter")
-    try:
-        cond = np.linalg.cond(cov)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        cov = cov + (RIDGE_EPS * trace / d) * np.eye(d)
-    return mean, cov
-
-
-def mahalanobis_depth(x, cloud) -> float:
-    """Mahalanobis depth of x: 1 / (1 + squared distance to the sample mean).
-
-    The scatter is the sample covariance with divisor n-1; a small ridge is
-    added when the covariance is numerically singular.
-    """
-    pts = _as_cloud(cloud)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (pts.shape[1],):
-        raise ValueError(f"x has shape {x.shape}, cloud dimension is {pts.shape[1]}")
-    mean, cov = regularized_covariance(pts)
-    diff = x - mean
-    try:
-        solved = np.linalg.solve(cov, diff)
-    except np.linalg.LinAlgError:
-        raise SingularScatterError("covariance singular after regularization") from None
-    d2 = float(diff @ solved)
-    return 1.0 / (1.0 + max(d2, 0.0))
-
-
-def tukey_depth_1d(x: float, cloud) -> float:
-    """Univariate halfspace depth: min(#{p_i <= x}, #{p_i >= x}) / n."""
-    pts = np.asarray(cloud, dtype=float).reshape(-1)
-    if pts.size < 1:
-        raise ValueError("cloud must be non-empty")
-    n_le = int(np.count_nonzero(pts <= x))
-    n_ge = int(np.count_nonzero(pts >= x))
-    return min(n_le, n_ge) / pts.size
+__all__ = ["geometric_medians_batch", "random_unit_directions"]
 
 
 def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:
@@ -93,72 +18,6 @@ def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return dirs / norms
-
-
-def random_tukey_depth(x, cloud, n_dirs: int = 500, rng_seed: int = 0) -> float:
-    """Random Tukey depth: minimum univariate halfspace depth over random directions.
-
-    Directions are drawn uniformly on the sphere from a seeded generator, so the
-    value is reproducible and non-increasing as n_dirs grows for a fixed seed.
-    """
-    if n_dirs < 1:
-        raise ValueError("n_dirs must be >= 1")
-    pts = _as_cloud(cloud)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dirs = random_unit_directions(n_dirs, pts.shape[1], np.random.default_rng(rng_seed))
-    proj_cloud = pts @ dirs.T  # (n, n_dirs)
-    proj_x = dirs @ x  # (n_dirs,)
-    n_le = np.count_nonzero(proj_cloud <= proj_x[None, :], axis=0)
-    n_ge = np.count_nonzero(proj_cloud >= proj_x[None, :], axis=0)
-    return float(np.minimum(n_le, n_ge).min()) / pts.shape[0]
-
-
-def _weiszfeld_steps(points: np.ndarray, start: np.ndarray):
-    """Yield successive Weiszfeld iterates (z, step_size, objective).
-
-    When an iterate coincides with a data point, that point's singular term
-    is skipped.
-    """
-    z = start
-    scale = max(1.0, float(np.abs(points).max()))
-    while True:
-        dist = np.linalg.norm(points - z, axis=1)
-        keep = dist > 1e-15 * scale
-        if not np.any(keep):
-            # all points coincide with the iterate
-            yield z, 0.0, 0.0
-            return
-        w = np.zeros_like(dist)
-        w[keep] = 1.0 / dist[keep]
-        z_new = (w[:, None] * points).sum(axis=0) / w.sum()
-        step = float(np.linalg.norm(z_new - z))
-        z = z_new
-        yield z, step, float(np.linalg.norm(points - z, axis=1).sum())
-
-
-def geometric_median(cloud, tol: float = 1e-9, max_iter: int = 500) -> np.ndarray:
-    """Geometric (L1) median of a point cloud via Weiszfeld iteration.
-
-    For d=1 the sample median is returned directly (midpoint convention for
-    even n). Otherwise iterates from the component-wise mean until the step
-    size drops below tol.
-
-    Raises:
-        ConvergenceError: if max_iter iterations do not reach the tolerance;
-            the error carries the last iterate.
-    """
-    pts = _as_cloud(cloud)
-    if pts.shape[1] == 1:
-        return np.array([float(np.median(pts[:, 0]))])
-    z = pts.mean(axis=0)
-    for i, (z, step, _) in enumerate(_weiszfeld_steps(pts, z)):
-        if step <= tol:
-            return z
-        if i + 1 >= max_iter:
-            break
-    raise ConvergenceError(
-        f"geometric median did not converge in {max_iter} iterations", last_iterate=z
-    )
 
 
 def _vertex_is_median(cloud: np.ndarray, k: int, floor: float) -> bool:

@@ -189,12 +189,9 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     return McdFit(np.sort(subset), loc, cov * factor, det, factor, h, n)
 
 
-def rmd(y, fit: McdFit) -> float:
-    """Robust Mahalanobis distance of y under an MCD fit's location/scatter."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    diff = y - fit.location
-    try:
-        solved = np.linalg.solve(fit.scatter, diff)
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError("fit scatter is singular") from None
-    return float(np.sqrt(max(diff @ solved, 0.0)))
+def rmd(points: np.ndarray, fit: McdFit) -> np.ndarray:
+    """Robust Mahalanobis distances of (N, d) points under an MCD fit's
+    location and scatter: (N,)."""
+    diff = points - fit.location
+    d2 = np.einsum("ni,in->n", diff, np.linalg.solve(fit.scatter, diff.T))
+    return np.sqrt(np.maximum(d2, 0.0))

@@ -27,6 +27,7 @@ __all__ = [
     "matern",
     "matern_matrix",
     "joint_covariance",
+    "cholesky_with_jitter",
     "sample_gp",
     "generate",
     "derivative_dataset",
@@ -216,7 +217,7 @@ def joint_covariance(cov, grid: Grid) -> np.ndarray:
     raise TypeError(f"unknown covariance spec: {type(cov).__name__}")
 
 
-def _cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
+def cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
     """Cholesky factor, adding diagonal jitter 1e-10*max(diag), escalated x10 up to 3 times."""
     try:
         return np.linalg.cholesky(matrix)
@@ -235,7 +236,7 @@ def _cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
 def _draw_gp(cov, grid: Grid, n: int, rng) -> np.ndarray:
     """Draw n zero-mean curves: (n, m, 1) for scalar covs, (n, m, 2) for bivariate."""
     joint = joint_covariance(cov, grid)
-    factor = _cholesky_with_jitter(joint)
+    factor = cholesky_with_jitter(joint)
     z = rng.standard_normal((n, joint.shape[0]))
     flat = z @ factor.T
     m = grid.m

@@ -4,22 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirout.classify import (
+    _METHODS,
     ClassifierConfig,
-    functional_depth_fm,
-    functional_depth_rp,
+    _fm1_state,
     halfspace_counts,
     predict,
     predict_batch,
-    predict_maxdepth,
-    predict_rmd,
-    predict_vom,
-    rp_directions,
     train,
 )
 from dirout.curves import Curve, FunctionalGroup, Grid
 from dirout.outlyingness import reference_frame, summarize
-from dirout.pointwise import mahalanobis_depth
 from dirout.simulate import GeneratorSpec, generate
+from oracles import mahalanobis_depth
 
 
 def uniform_grid(m=10):
@@ -29,6 +25,12 @@ def uniform_grid(m=10):
 def gaussian_group(rng, label, n=20, m=10, p=1, shift=0.0):
     vals = shift + rng.normal(size=(n, m, p))
     return FunctionalGroup.from_values(label, vals, uniform_grid(m))
+
+
+def group_score(grp, method, x0, config=None, rng_seed=0):
+    """The method's score of x0 within grp, trained against a shifted copy."""
+    other = FunctionalGroup.from_values("other", grp.values + 1.0, grp.grid)
+    return predict(train([grp, other], method, config, rng_seed), x0).scores[0]
 
 
 class TestTrain:
@@ -54,7 +56,8 @@ class TestTrain:
         g0 = generate(GeneratorSpec("4", 0, 30, seed=2))
         g1 = generate(GeneratorSpec("4", 1, 30, seed=3))
         model = train([g0, g1], "RMD", rng_seed=4)
-        for fit in model.mcd_fits:
+        _, fits = model.state
+        for fit in fits:
             assert np.isfinite(fit.determinant) and fit.determinant > 0
 
     def test_rp_directions_deterministic(self):
@@ -63,7 +66,7 @@ class TestTrain:
         g1 = gaussian_group(rng, "1", shift=1.0)
         m1 = train([g0, g1], "RP1", rng_seed=6)
         m2 = train([g0, g1], "RP1", rng_seed=6)
-        assert np.array_equal(m1.rp_dirs, m2.rp_dirs)
+        assert np.array_equal(m1.state[0], m2.state[0])
 
     def test_rejects_single_group_and_unknown_method(self):
         rng = np.random.default_rng(7)
@@ -89,15 +92,10 @@ class TestPredictRmd:
         g2 = gaussian_group(rng, "far", n=40, shift=25.0)
         model = train([g1, g2], "RMD", rng_seed=10)
         x0 = Curve(reference_frame(g1).medians, g1.grid)
-        pred = predict_rmd(model, x0)
+        pred = predict(model, x0)
         assert pred.label == "near"
         assert pred.scores[0] < pred.scores[1]
-
-    def test_wrong_method_rejected(self):
-        rng = np.random.default_rng(11)
-        model = train([gaussian_group(rng, "0"), gaussian_group(rng, "1")], "VOM")
-        with pytest.raises(ValueError):
-            predict_rmd(model, Curve(np.zeros(10), uniform_grid()))
+        assert not pred.higher_is_better
 
 
 class TestPredictVom:
@@ -107,7 +105,7 @@ class TestPredictVom:
         g2 = gaussian_group(rng, "b", n=30, shift=8.0)
         model = train([g1, g2], "VOM", rng_seed=13)
         x0 = Curve(reference_frame(g1).medians, g1.grid)
-        pred = predict_vom(model, x0)
+        pred = predict(model, x0)
         assert pred.scores[0] == 0.0
         assert pred.label == "a"
 
@@ -117,7 +115,7 @@ class TestPredictVom:
         g2 = gaussian_group(rng, "b", n=25, shift=2.0)
         model = train([g1, g2], "VOM", rng_seed=15)
         x0 = Curve(rng.normal(size=(10, 1)), g1.grid)
-        pred = predict_vom(model, x0)
+        pred = predict(model, x0)
         assert pred.scores[0] == pytest.approx(summarize(x0, g1).vo, abs=1e-12)
         assert pred.scores[1] == pytest.approx(summarize(x0, g2).vo, abs=1e-12)
 
@@ -127,13 +125,13 @@ class TestFunctionalDepthFm:
         rng = np.random.default_rng(16)
         grp = gaussian_group(rng, "g", n=20, p=2)
         x0 = Curve(grp.values.mean(axis=0), grp.grid)
-        assert functional_depth_fm(x0, grp, "MD") == pytest.approx(1.0, abs=1e-12)
+        assert group_score(grp, "FM2", x0) == pytest.approx(1.0, abs=1e-12)
 
     def test_td_depth_zero_far_above(self):
         rng = np.random.default_rng(17)
         grp = gaussian_group(rng, "g", n=20)
         x0 = Curve(np.full((10, 1), 100.0), grp.grid)
-        assert functional_depth_fm(x0, grp, "TD") == 0.0
+        assert group_score(grp, "FM1", x0) == 0.0
 
     def test_md_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(18)
@@ -143,7 +141,7 @@ class TestFunctionalDepthFm:
         oracle = sum(
             w[t] * mahalanobis_depth(x0.values[t], grp.values[:, t, :]) for t in range(3)
         )
-        assert functional_depth_fm(x0, grp, "MD") == pytest.approx(oracle, abs=1e-12)
+        assert group_score(grp, "FM2", x0) == pytest.approx(oracle, abs=1e-12)
 
     def test_td_univariate_matches_count_oracle(self):
         rng = np.random.default_rng(19)
@@ -155,7 +153,7 @@ class TestFunctionalDepthFm:
             cloud = grp.values[:, t, 0]
             x = x0.values[t, 0]
             oracle += w[t] * min((cloud <= x).sum(), (cloud >= x).sum()) / 7
-        assert functional_depth_fm(x0, grp, "TD") == pytest.approx(oracle, abs=1e-12)
+        assert group_score(grp, "FM1", x0) == pytest.approx(oracle, abs=1e-12)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -209,7 +207,7 @@ class TestHalfspaceCounts:
                 for c, x in zip(grp.values[:, t, :].T, x0[t])
             )
             oracle += grp.grid.weights[t] * depth
-        depth = functional_depth_fm(Curve(x0, grp.grid), grp, "TD", directions=dirs)
+        depth = _METHODS["FM1"].score(_fm1_state([grp], dirs), x0[None])[0, 0]
         assert depth == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -232,23 +230,23 @@ class TestFunctionalDepthRp:
         g = uniform_grid()
         vals = np.tile(np.sin(2 * np.pi * g.points)[None, :, None], (6, 1, 1))
         grp = FunctionalGroup.from_values("g", vals, g)
-        dirs = rp_directions(5, g, 1, np.random.default_rng(20))
-        x0 = Curve(vals[0], g)
-        assert functional_depth_rp(x0, grp, "MD", dirs) == 1.0
+        config = ClassifierConfig(n_projections=5)
+        assert group_score(grp, "RP2", Curve(vals[0], g), config, rng_seed=20) == 1.0
 
     def test_extreme_curve_has_zero_td_depth(self):
         rng = np.random.default_rng(21)
         grp = gaussian_group(rng, "g", n=15)
-        dirs = rp_directions(8, grp.grid, 1, rng)
         # dominate every projection by scaling far beyond the group's range
         x0 = Curve(np.full((10, 1), 1e6), grp.grid)
-        depth = functional_depth_rp(x0, grp, "TD", dirs)
-        assert depth == 0.0
+        config = ClassifierConfig(n_projections=8)
+        assert group_score(grp, "RP1", x0, config, rng_seed=21) == 0.0
 
     def test_matches_manual_three_projection_average(self):
         rng = np.random.default_rng(22)
         grp = gaussian_group(rng, "g", n=6, m=5)
-        dirs = rp_directions(3, grp.grid, 1, rng)
+        other = gaussian_group(rng, "other", n=6, m=5)
+        model = train([grp, other], "RP1", ClassifierConfig(n_projections=3), rng_seed=22)
+        dirs = model.state[0]
         x0 = Curve(rng.normal(size=(5, 1)), grp.grid)
         w = grp.grid.weights
         total = 0.0
@@ -256,7 +254,7 @@ class TestFunctionalDepthRp:
             s0 = float((dirs[d, :, 0] * w) @ x0.values[:, 0])
             sg = np.array([(dirs[d, :, 0] * w) @ c for c in grp.values[:, :, 0]])
             total += min((sg <= s0).sum(), (sg >= s0).sum()) / 6
-        assert functional_depth_rp(x0, grp, "TD", dirs) == pytest.approx(total / 3, abs=1e-12)
+        assert predict(model, x0).scores[0] == pytest.approx(total / 3, abs=1e-12)
 
 
 class TestPredictMaxdepth:
@@ -267,15 +265,30 @@ class TestPredictMaxdepth:
         x0 = Curve(rng.normal(size=(10, 1)), g1.grid)
         for method in ("FM1", "FM2", "RP1", "RP2"):
             model = train([g1, g2], method, rng_seed=24)
-            pred = predict_maxdepth(model, x0)
+            pred = predict(model, x0)
             assert pred.label == "low"
             assert pred.higher_is_better
 
-    def test_wrong_method_rejected(self):
-        rng = np.random.default_rng(25)
-        model = train([gaussian_group(rng, "0"), gaussian_group(rng, "1")], "RMD")
-        with pytest.raises(ValueError):
-            predict_maxdepth(model, Curve(np.zeros(10), uniform_grid()))
+
+class TestGroupOrder:
+    # RMD is left out: its MCD start seeds derive from the group index
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("method", ["VOM", "FM1", "FM2", "RP1", "RP2"])
+    def test_permuting_groups_permutes_scores(self, method, p):
+        rng = np.random.default_rng(43)
+        a, b, c = (gaussian_group(rng, k, n=20, p=p, shift=s) for k, s in zip("abc", (0, 0.5, 1)))
+        queries = [Curve(v, a.grid) for v in rng.normal(0.5, size=(15, 10, p))] + [a.curves[0]]
+        config = ClassifierConfig(tukey_n_dirs=60)
+        abc = predict_batch(train([a, b, c], method, config, rng_seed=44), queries)
+        cab = predict_batch(train([c, a, b], method, config, rng_seed=44), queries)
+        unique = 0
+        for x, y in zip(abc, cab):
+            assert np.array_equal(y.scores, x.scores[[2, 0, 1]])
+            best = x.scores.max() if x.higher_is_better else x.scores.min()
+            if np.count_nonzero(x.scores == best) == 1:
+                unique += 1
+                assert y.label == x.label
+        assert unique > 0
 
 
 class TestInvariances:
@@ -289,12 +302,12 @@ class TestInvariances:
         b = rng.normal(size=2)
 
         model = train([g1, g2], "VOM", rng_seed=27)
-        pred = predict_vom(model, x0)
+        pred = predict(model, x0)
 
         tg1 = FunctionalGroup.from_values("a", g1.values @ q.T + b, g1.grid)
         tg2 = FunctionalGroup.from_values("b", g2.values @ q.T + b, g2.grid)
         tmodel = train([tg1, tg2], "VOM", rng_seed=27)
-        tpred = predict_vom(tmodel, Curve(x0.values @ q.T + b, x0.grid))
+        tpred = predict(tmodel, Curve(x0.values @ q.T + b, x0.grid))
 
         assert tpred.label == pred.label
         assert np.allclose(tpred.scores, pred.scores, atol=1e-8)
@@ -316,6 +329,7 @@ class TestInvariances:
         g2 = gaussian_group(rng, "b", n=20, shift=1.0)
         config = ClassifierConfig(n_projections=7, tukey_n_dirs=11, mcd_h=15)
         model = train([g1, g2], "RP1", config, rng_seed=31)
-        assert model.rp_dirs.shape == (7, 10, 1)
+        assert model.state[0].shape == (7, 10, 1)
         model = train([g1, g2], "RMD", config, rng_seed=31)
-        assert all(fit.h == 15 for fit in model.mcd_fits)
+        _, fits = model.state
+        assert all(fit.h == 15 for fit in fits)

@@ -236,6 +236,10 @@ class TestCsv:
             ("curve_id,group,t,c1\n", "file contains no data rows"),
             ("curve_id,group,t,c1\n\n\n", "file contains no data rows"),
             (
+                "curve_id,group,t,c1\nc0,a,0.0,1.0\nc1,a,0.0,2.0\nc1,a,1.0,2.0\n",
+                "curve 'c0' has a single time point; the grid needs at least 2",
+            ),
+            (
                 "curve_id,group,t,c1\nc0,a,0.0,1.0\nc0,a,1.0,1.0\nc1,a,0.0,2.0\nc1,a,0.5,2.0\n",
                 "curve 'c1' is sampled on a different grid than curve 'c0'",
             ),

@@ -9,7 +9,8 @@ from dirout.outlyingness import (
     summarize,
     summarize_values,
 )
-from dirout.pointwise import geometric_medians_batch, mahalanobis_depth
+from dirout.pointwise import geometric_medians_batch
+from oracles import mahalanobis_depth
 
 
 def uniform_grid(m=10):

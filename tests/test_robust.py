@@ -123,29 +123,31 @@ class TestRmd:
     def test_zero_at_location(self):
         rng = np.random.default_rng(13)
         fit = mcd_fit(rng.normal(size=(25, 2)), rng_seed=14)
-        assert rmd(fit.location, fit) == 0.0
+        assert rmd(fit.location[None], fit)[0] == 0.0
 
     def test_univariate_formula(self):
         rng = np.random.default_rng(15)
         pts = rng.normal(size=(20, 1))
         fit = mcd_fit(pts, rng_seed=16)
-        y = np.array([2.7])
-        expected = abs(y[0] - fit.location[0]) / np.sqrt(fit.scatter[0, 0])
-        assert rmd(y, fit) == pytest.approx(expected, abs=1e-12)
+        y = np.array([[2.7]])
+        expected = abs(y[0, 0] - fit.location[0]) / np.sqrt(fit.scatter[0, 0])
+        assert rmd(y, fit)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(17)
         fit = mcd_fit(rng.normal(size=(40, 3)), rng_seed=18)
-        for _ in range(10):
-            y = rng.normal(size=3)
+        ys = rng.normal(size=(10, 3))
+        distances = rmd(ys, fit)
+        assert distances.shape == (10,)
+        for y, distance in zip(ys, distances):
             diff = y - fit.location
             expected = np.sqrt(diff @ np.linalg.inv(fit.scatter) @ diff)
-            assert rmd(y, fit) == pytest.approx(expected, abs=1e-10)
+            assert distance == pytest.approx(expected, abs=1e-10)
 
     def test_median_square_near_chi2_median(self):
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(500, 2))
         fit = mcd_fit(pts, rng_seed=20)
-        d2 = np.array([rmd(y, fit) ** 2 for y in pts])
+        d2 = rmd(pts, fit) ** 2
         target = chi2.ppf(0.5, 2)
         assert 0.5 * target <= np.median(d2) <= 1.5 * target
