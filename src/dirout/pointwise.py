@@ -31,6 +31,61 @@ def _vertex_is_median(cloud: np.ndarray, k: int, floor: float) -> bool:
     return float(np.linalg.norm(resultant)) <= coincident.sum() + 1e-12
 
 
+def _distances(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|points[i, b] - z[b]| for (n, B, d) points and (B, d) z: (n, B).
+
+    Gives np.linalg.norm's bits: below 8 components numpy's add.reduce sums
+    left to right, as the running sum of squares here does.
+    """
+    d = points.shape[2]
+    if d >= 8:
+        return np.linalg.norm(points - z[None, :, :], axis=2)
+    sq = np.subtract(points[:, :, 0], z[:, 0])
+    np.multiply(sq, sq, out=sq)
+    c = np.empty_like(sq)
+    for k in range(1, d):
+        np.subtract(points[:, :, k], z[:, k], out=c)
+        np.multiply(c, c, out=c)
+        sq += c
+    return np.sqrt(sq, out=sq)
+
+
+def _newton_finish(points, z, cols, rejected, floor, radius, tol):
+    """Finish the stalled columns cols of z with Newton steps on sum_i |x_i - z|.
+
+    The gradient is -sum_i u_i and the Hessian sum_i (I - u_i u_i^T) / d_i,
+    with u_i the unit vector from z to x_i at distance d_i. Returns z with
+    those columns replaced, or None unless every stalled iterate lies within
+    radius of a vertex the exact test rejected (where Weiszfeld crawls), every
+    Hessian is finite and nonsingular, no iterate lands on a data point, and
+    the steps reach tol within 50 steps (a few suffice from a stalled iterate).
+    """
+    pts = points[:, cols, :]
+    zc = z[cols]
+    dist = _distances(pts, zc)
+    kmin = dist.argmin(axis=0)
+    if not np.all((dist[kmin, np.arange(cols.size)] < radius) & rejected[kmin, cols]):
+        return None
+    eye = np.eye(points.shape[2])
+    for _ in range(50):
+        if not np.all(dist > floor):
+            return None
+        inv = 1.0 / dist
+        u = (pts - zc[None]) * inv[:, :, None]
+        hess = inv.sum(axis=0)[:, None, None] * eye - np.einsum("nb,nbi,nbj->bij", inv, u, u)
+        eig = np.linalg.eigvalsh(hess)
+        if not (np.all(np.isfinite(eig)) and np.all(eig[:, 0] > 1e-12 * eig[:, -1])):
+            return None
+        step = np.linalg.solve(hess, u.sum(axis=0)[:, :, None])[:, :, 0]
+        zc = zc + step
+        if np.linalg.norm(step, axis=1).max() <= tol:
+            out = z.copy()
+            out[cols] = zc
+            return out
+        dist = _distances(pts, zc)
+    return None
+
+
 def geometric_medians_batch(
     points: np.ndarray, tol: float = 1e-12, max_iter: int = 2000
 ) -> np.ndarray:
@@ -40,7 +95,18 @@ def geometric_medians_batch(
     point jointly. d=1 columns reduce to the sample median. The tolerance is
     relative to the data scale. Weiszfeld slows to a crawl when the median
     sits on a data point, so columns whose iterate approaches a point run the
-    exact vertex optimality test and snap to it when it is the median.
+    exact vertex optimality test and snap to it when it is the median. The
+    test depends only on the column and the vertex, so each pair is tested
+    once: a rejected vertex is remembered and not tested again.
+
+    When max_iter iterations end with some columns still stepping more than
+    1e-9 x scale, those columns usually sit just off a rejected vertex, where
+    Weiszfeld crawls; they are finished with Newton steps (see
+    _newton_finish). Columns that converge without them are untouched.
+
+    Raises:
+        ConvergenceError: if the Newton finish does not apply or fails; the
+            error carries the last Weiszfeld iterate.
     """
     n, B, d = points.shape
     if d == 1:
@@ -49,18 +115,20 @@ def geometric_medians_batch(
     scale = max(1.0, float(np.abs(points).max()))
     floor = 1e-14 * scale
     check_radius = 1e-3 * scale
+    cols = np.arange(B)
     done = np.zeros(B, dtype=bool)
+    rejected = np.zeros((n, B), dtype=bool)  # (vertex, column): not the median
     steps = np.full(B, np.inf)
     for _ in range(max_iter):
-        diff = points - z[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)  # (n, B)
-        dmin = dist.min(axis=0)
+        dist = _distances(points, z)  # (n, B)
         kmin = dist.argmin(axis=0)
-        for b in np.flatnonzero(~done & (dmin < check_radius)):
+        near = dist[kmin, cols] < check_radius
+        for b in np.flatnonzero(~done & near & ~rejected[kmin, cols]):
             if _vertex_is_median(points[:, b, :], int(kmin[b]), floor):
                 z[b] = points[kmin[b], b]
-                steps[b] = 0.0
                 done[b] = True
+            else:
+                rejected[kmin[b], b] = True
         if done.all():
             return z
         w = np.where(dist > floor, 1.0 / np.maximum(dist, floor), 0.0)
@@ -76,7 +144,11 @@ def geometric_medians_batch(
             return z
     if steps.max() <= 1e-9 * scale:
         return z
-    raise ConvergenceError(
-        f"batch geometric median did not converge in {max_iter} iterations",
-        last_iterate=z,
-    )
+    stalled = np.flatnonzero(steps > 1e-9 * scale)
+    finished = _newton_finish(points, z, stalled, rejected, floor, check_radius, tol * scale)
+    if finished is None:
+        raise ConvergenceError(
+            f"batch geometric median did not converge in {max_iter} iterations",
+            last_iterate=z,
+        )
+    return finished

@@ -312,6 +312,37 @@ class TestInvariances:
         assert tpred.label == pred.label
         assert np.allclose(tpred.scores, pred.scores, atol=1e-8)
 
+    @pytest.mark.parametrize("dataset", ["4", "6"])
+    def test_vom_decisions_invariant_under_the_transform_family(self, dataset):
+        # x(t) -> f(t) A0 x(t) + b with A0 orthogonal and f > 0 moves every
+        # point-wise median with the data, so each VOM matrix is conjugated by
+        # A0 and its norm, the score, stays put up to the median's tolerance
+        rng = np.random.default_rng(32)
+        train_groups = [generate(GeneratorSpec(dataset, c, 60, seed=33 + c)) for c in (0, 1)]
+        tests = np.concatenate(
+            [generate(GeneratorSpec(dataset, c, 40, seed=35 + c)).values for c in (0, 1)]
+        )
+        grid, p = train_groups[0].grid, train_groups[0].p
+        q, r = np.linalg.qr(rng.normal(size=(p, p)))
+        a0, b, f = q * np.sign(np.diag(r)), rng.normal(size=p), 0.5 + np.exp(grid.points)
+
+        def transform(values):
+            return f[:, None] * (values @ a0.T) + b
+
+        moved = [
+            FunctionalGroup.from_values(g.label, transform(g.values), grid) for g in train_groups
+        ]
+        preds = predict_batch(train(train_groups, "VOM"), [Curve(v, grid) for v in tests])
+        moved_preds = predict_batch(train(moved, "VOM"), [Curve(transform(v), grid) for v in tests])
+        decided = 0
+        for pred, moved_pred in zip(preds, moved_preds):
+            np.testing.assert_allclose(moved_pred.scores, pred.scores, rtol=1e-6)
+            best, runner_up = np.sort(pred.scores)[:2]
+            if runner_up - best > 1e-9 * abs(runner_up):
+                assert moved_pred.label == pred.label
+                decided += 1
+        assert decided >= 0.9 * len(tests)
+
     def test_fixed_seed_reproducibility(self):
         rng = np.random.default_rng(28)
         g1 = gaussian_group(rng, "a", n=20, p=2)

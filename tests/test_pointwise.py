@@ -1,12 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from dirout import pointwise
 from dirout.classify import ClassifierConfig, predict, predict_batch, train
 from dirout.curves import Curve, FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
 from dirout.outlyingness import reference_frame
 from dirout.pointwise import geometric_medians_batch
+from dirout.simulate import GeneratorSpec, derivative_dataset, generate
+import oracles
 from oracles import geometric_median
+from oracles import geometric_medians_batch as weiszfeld_oracle
 
 M = 5
 
@@ -191,3 +197,129 @@ class TestGeometricMediansBatch:
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(9, 4, 1))
         assert np.array_equal(geometric_medians_batch(pts), np.median(pts, axis=0))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def resultant_norms(points, medians):
+    """|sum of unit vectors from each median to its cloud's points| per column,
+    for columns whose median is not a data point: (n, B, d), (B, d) -> (B',)."""
+    u = points - medians[None]
+    dist = np.linalg.norm(u, axis=2)
+    off_vertex = np.all(dist > 0.0, axis=0)
+    u, dist = u[:, off_vertex], dist[:, off_vertex]
+    return np.linalg.norm((u / dist[:, :, None]).sum(axis=0), axis=1)
+
+
+def dataset_values(dataset, cls, n, seed):
+    """(n, 50, p) values of one class of a benchmark dataset; "1d" is dataset 1
+    with first derivatives."""
+    spec = GeneratorSpec(dataset.rstrip("d"), cls, n, seed=seed)
+    return (derivative_dataset(spec) if dataset == "1d" else generate(spec)).values
+
+
+def gaussian_draws(count):
+    """(25, 50, 2) N(1, I) clouds; the plain Weiszfeld oracle raises on draw 29."""
+    rng = np.random.default_rng(1)
+    return [rng.normal(1.0, 1.0, size=(25, 50, 2)) for _ in range(count)]
+
+
+def ring_with_centre():
+    angles = np.linspace(0, 2 * np.pi, 9)[:-1]
+    return np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
+
+
+def doubled_vertex_cloud():
+    """The origin twice plus four unit vectors whose resultant has norm sqrt(3):
+    the origin is the median only because it counts twice."""
+    angles = np.deg2rad([0.0, 60.0, 120.0, 180.0])
+    return np.vstack([[[0.0, 0.0], [0.0, 0.0]], np.column_stack([np.cos(angles), np.sin(angles)])])
+
+
+class TestMedianKernelAgainstWeiszfeldOracle:
+    """The kernel skips repeated vertex tests, takes distances by a running sum
+    of squares and finishes stalled columns with Newton steps; every median
+    the plain Weiszfeld kernel (the oracle) returns must keep its bits."""
+
+    @pytest.mark.parametrize(
+        "dataset, n, seeds",
+        [("4", 100, (0, 1, 2)), ("4", 1000, (1,)), ("5", 100, (0, 1)), ("6", 100, (0, 1)),
+         ("1d", 100, (0, 1)), ("1d", 1000, (2,))],
+    )
+    def test_benchmark_datasets(self, dataset, n, seeds):
+        for seed in seeds:
+            for cls in (0, 1):
+                values = dataset_values(dataset, cls, n, seed)
+                assert same_bits(geometric_medians_batch(values), weiszfeld_oracle(values))
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [ring_with_centre(), doubled_vertex_cloud(), 3.0 * doubled_vertex_cloud() - 1.0],
+        ids=["ring-with-centre", "doubled-vertex", "doubled-vertex-moved"],
+    )
+    def test_vertex_medians(self, cloud):
+        pts = cloud[:, None, :]
+        med = geometric_medians_batch(pts)
+        assert same_bits(med, weiszfeld_oracle(pts))
+        assert any(np.array_equal(med[0], x) for x in cloud)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_random_clouds(self, d):
+        # d = 8 takes np.linalg.norm itself: numpy's add.reduce stops summing
+        # left to right from 8 components on
+        pts = np.random.default_rng(40 + d).normal(size=(60, 20, d))
+        assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts))
+
+    def test_gaussian_draws_and_the_stall_the_oracle_gives_up_on(self):
+        # draw 29 has a column whose median lies about 1e-4 from a data point:
+        # Weiszfeld crawls there and the oracle raises
+        draws = gaussian_draws(30)
+        for pts in draws[:29]:
+            assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts))
+        pts = draws[29]
+        with pytest.raises(ConvergenceError):
+            weiszfeld_oracle(pts)
+        med = geometric_medians_batch(pts)
+        assert np.all(resultant_norms(pts, med) <= 1e-9 * pts.shape[0])
+
+
+class TestMedianVertexTests:
+    def test_each_column_vertex_pair_is_tested_once(self, monkeypatch):
+        tested = {"kernel": [], "oracle": []}
+
+        def counting(name, test):
+            def wrapper(cloud, k, floor):
+                tested[name].append((cloud.tobytes(), k))
+                return test(cloud, k, floor)
+
+            return wrapper
+
+        for name, module in (("kernel", pointwise), ("oracle", oracles)):
+            monkeypatch.setattr(module, "_vertex_is_median", counting(name, module._vertex_is_median))
+        values = dataset_values("4", 0, 1000, 1)
+        assert same_bits(geometric_medians_batch(values), weiszfeld_oracle(values))
+        kernel, oracle = Counter(tested["kernel"]), Counter(tested["oracle"])
+        assert max(kernel.values()) == 1
+        assert set(kernel) == set(oracle)  # the same pairs decided
+        assert sum(oracle.values()) > 10 * len(kernel)
+
+    def test_newton_finish_needs_a_rejected_vertex_and_a_regular_hessian(self):
+        pts = gaussian_draws(30)[29][:, 42:43]  # the median lies 1.2e-4 from point 8
+        with pytest.raises(ConvergenceError) as exc:
+            weiszfeld_oracle(pts)
+        z = exc.value.last_iterate
+        scale = float(np.abs(pts).max())
+        args = (1e-14 * scale, 1e-3 * scale, 1e-12 * scale)
+        rejected = np.zeros((25, 1), dtype=bool)
+        assert pointwise._newton_finish(pts, z, np.array([0]), rejected, *args) is None
+        rejected[8] = True
+        med = pointwise._newton_finish(pts, z, np.array([0]), rejected, *args)
+        assert resultant_norms(pts, med) <= 1e-12 * 25
+        # on a line the Hessian has a zero eigenvalue across it
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [7.0, 0.0], [20.0, 0.0]])[:, None, :]
+        near = np.array([[3.0001, 0.0]])
+        args = (1e-13, 0.02, 1e-11)
+        rejected = np.ones((5, 1), dtype=bool)
+        assert pointwise._newton_finish(line, near, np.array([0]), rejected, *args) is None
