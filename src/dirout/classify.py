@@ -172,7 +172,15 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
 
 
 def _frames(groups, config, seed) -> tuple[ReferenceFrame, ...]:
-    return tuple(reference_frame(g) for g in groups)
+    """Each group's frame, with the moments and medians RMD and VOM read."""
+    frames = tuple(reference_frame(g) for g in groups)
+    for frame in frames:
+        frame.moments, frame.medians  # computed here, so cost and errors fall in train
+    return frames
+
+
+def _fm2_fit(groups, config, seed):
+    return tuple(reference_frame(g).moments for g in groups)
 
 
 def _features(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
@@ -203,10 +211,10 @@ def _vom_score(frames, values: np.ndarray) -> np.ndarray:
     return np.stack([np.sqrt(np.einsum("nij,nij->n", vom, vom)) for vom in voms], axis=1)
 
 
-def _fm2_score(frames, values: np.ndarray) -> np.ndarray:
+def _fm2_score(moments, values: np.ndarray) -> np.ndarray:
     """Integrated point-wise Mahalanobis depth 1 / (1 + squared distance)."""
     return np.stack(
-        [(1.0 / (1.0 + squared_mahalanobis(values, f)) * f.weights).sum(axis=1) for f in frames],
+        [(1.0 / (1.0 + squared_mahalanobis(values, s)) * s.weights).sum(axis=1) for s in moments],
         axis=1,
     )
 
@@ -306,7 +314,7 @@ class _Method(NamedTuple):
 
 
 # Each classifier, defined once. The state its fit returns:
-#   RMD: (frames, MCD fits); VOM and FM2: one frame per group;
+#   RMD: (frames, MCD fits); VOM: one frame per group; FM2: their moments;
 #   FM1: (directions (D, p), weights, sorted projections (m, D, n) per group);
 #   RP1: (directions (NR, m, p), weights, sorted projections (NR, n) per group);
 #   RP2: (directions, weights, projection (mean, variance) per group).
@@ -316,7 +324,7 @@ _METHODS = {
     "RMD": _Method(_rmd_fit, _rmd_score, False),
     "VOM": _Method(_frames, _vom_score, False),
     "FM1": _Method(_fm1_fit, _fm1_score, True),
-    "FM2": _Method(_frames, _fm2_score, True),
+    "FM2": _Method(_fm2_fit, _fm2_score, True),
     "RP1": _Method(_rp1_fit, _rp1_score, True),
     "RP2": _Method(_rp2_fit, _rp2_score, True),
 }

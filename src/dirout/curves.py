@@ -68,7 +68,7 @@ class Grid:
         return w / w.sum()
 
     def same_points(self, other: "Grid") -> bool:
-        return self.m == other.m and np.array_equal(self.points, other.points)
+        return self is other or (self.m == other.m and np.array_equal(self.points, other.points))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import METHODS, ClassifierConfig, predict_batch, train
 from .curves import FunctionalGroup, derivative_augment, read_groups_csv
-from .outlyingness import summarize_values, reference_frame
+from .outlyingness import ReferenceFrame, reference_frame, summarize_values
 from .simulate import DATASETS, GeneratorSpec, default_grid, derivative_dataset, generate
 from .seeding import derive_seed
 
@@ -143,13 +143,14 @@ def _replicate_groups(spec: ExperimentSpec, r: int, csv_groups) -> list[Function
 
 
 def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
+    """Training curves as a frame that all methods of a replicate share, and test curves."""
     if group.n < n_train + n_test:
         raise ValueError(
             f"group {group.label!r} has {group.n} curves, need {n_train + n_test}"
         )
     perm = rng.permutation(group.n)
     train_idx, test_idx = perm[:n_train], perm[n_train : n_train + n_test]
-    train_g = FunctionalGroup(group.label, tuple(group.curves[i] for i in train_idx))
+    train_g = ReferenceFrame(group.label, tuple(group.curves[i] for i in train_idx))
     test_curves = [group.curves[i] for i in test_idx]
     return train_g, test_curves
 
@@ -214,16 +215,15 @@ def emit_diagnostics(group: FunctionalGroup, reference: FunctionalGroup, out_pat
     Scores every curve of ``group`` against ``reference``; suitable for
     scatter plots of shape versus scale outlyingness.
     """
-    frame = reference_frame(reference)
     if not group.grid.same_points(reference.grid) or group.p != reference.p:
         raise ValueError("group and reference must share grid and dimension")
-    summaries = summarize_values(group.values, frame)
     p = group.p
     if curve_ids is None:
         width = max(4, len(str(group.n - 1)))
         curve_ids = [f"{group.label}-{i:0{width}d}" for i in range(group.n)]
     elif len(curve_ids) != group.n:
         raise ValueError("curve_ids length must match the group size")
+    summaries = summarize_values(group.values, reference_frame(reference))
     header = ["curve_id"] + [f"MO_{k + 1}" for k in range(p)] + ["VO", "FO"]
     lines = [",".join(header)]
     for i, cid in enumerate(curve_ids):

@@ -11,17 +11,19 @@ rescaling, an orthogonal map A0, shifts, and a time re-indexing.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .curves import Curve, FunctionalGroup, Grid
+from .curves import Curve, FunctionalGroup
 from .errors import SingularScatterError
 from .pointwise import geometric_medians_batch
 
 __all__ = [
     "ReferenceFrame",
+    "PointwiseMoments",
     "OutlyingnessSummary",
     "reference_frame",
     "pointwise_outlyingness",
@@ -41,83 +43,74 @@ COND_LIMIT = 1e12
 ZERO_DIRECTION_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceFrame:
-    """Per-gridpoint statistics of a reference group, precomputed once.
+class PointwiseMoments(NamedTuple):
+    """Point-wise means and ridged inverse covariances of a reference group.
+    Where all its curves take one value, the inverse covariance (so every
+    outlyingness) is zero and ``weights`` renormalizes over the other points."""
 
-    Holds the sample means, (ridged) inverse covariances and geometric medians
-    of the group's value clouds at every grid point, plus the integration
-    weights. Frames are read-only and safe to share across workers.
-    """
-
-    grid: Grid
-    n: int
-    p: int
     means: np.ndarray  # (m, p)
     inv_cov: np.ndarray  # (m, p, p)
-    medians: np.ndarray  # (m, p)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.grid.weights
+    weights: np.ndarray  # (m,), ``grid.weights`` itself when no point is flat
 
 
-_FRAMES: "weakref.WeakKeyDictionary[FunctionalGroup, ReferenceFrame]" = (
-    weakref.WeakKeyDictionary()
-)
+class ReferenceFrame(FunctionalGroup):
+    """A ``FunctionalGroup`` that computes its point-wise statistics on first
+    use and keeps them: pass one frame to several calls to compute each once."""
+
+    @cached_property
+    def moments(self) -> PointwiseMoments:
+        n, p, values = self.n, self.p, self.values
+        means = values.mean(axis=0)
+        centered = values - means[None]
+        cov = np.einsum("nmi,nmj->mij", centered, centered) / (n - 1)
+        flat = (values == values[0]).all(axis=0).all(axis=1)
+        if flat.all():
+            raise SingularScatterError(f"group {self.label!r} has zero scatter at every grid point")
+        weights = self.grid.weights
+        if flat.any():
+            cov[flat] = np.eye(p)  # a placeholder; its inverse is zeroed below
+            weights = np.where(flat, 0.0, weights) / weights[~flat].sum()
+        traces = np.trace(cov, axis1=1, axis2=2)
+        eig = np.linalg.eigvalsh(cov)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+        needs_ridge = cond > COND_LIMIT
+        if np.any(needs_ridge):
+            ridge = (RIDGE_EPS * traces / p)[:, None, None] * np.eye(p)[None]
+            cov = np.where(needs_ridge[:, None, None], cov + ridge, cov)
+        try:
+            inv_cov = np.linalg.inv(cov)
+        except np.linalg.LinAlgError:
+            raise SingularScatterError("point-wise covariance singular after ridge") from None
+        inv_cov[flat] = 0.0
+        return PointwiseMoments(means, inv_cov, weights)
+
+    @cached_property
+    def medians(self) -> np.ndarray:
+        """Point-wise geometric medians, (m, p)."""
+        return geometric_medians_batch(self.values)
 
 
 def reference_frame(group: FunctionalGroup) -> ReferenceFrame:
-    """Return the cached per-gridpoint frame for a reference group."""
-    frame = _FRAMES.get(group)
-    if frame is None:
-        frame = _build_frame(group)
-        _FRAMES[group] = frame
-    return frame
-
-
-def _build_frame(group: FunctionalGroup) -> ReferenceFrame:
-    n, p = group.n, group.p
-    if n < p + 2:
+    """``group`` itself if it is a frame, else a new frame of its curves."""
+    if group.n < group.p + 2:
         raise ValueError(
-            f"reference group {group.label!r} needs at least p+2={p + 2} curves, has {n}"
+            f"reference group {group.label!r} needs at least p+2={group.p + 2} curves, has {group.n}"
         )
-    values = group.values  # (n, m, p)
-    means = values.mean(axis=0)
-    centered = values - means[None]
-    cov = np.einsum("nmi,nmj->mij", centered, centered) / (n - 1)
-
-    traces = np.trace(cov, axis1=1, axis2=2)
-    if np.any(traces <= 0.0):
-        t_bad = int(np.argmin(traces))
-        raise SingularScatterError(f"zero scatter at grid point index {t_bad}")
-    eig = np.linalg.eigvalsh(cov)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
-    needs_ridge = cond > COND_LIMIT
-    if np.any(needs_ridge):
-        ridge = (RIDGE_EPS * traces / p)[:, None, None] * np.eye(p)[None]
-        cov = np.where(needs_ridge[:, None, None], cov + ridge, cov)
-    try:
-        inv_cov = np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        raise SingularScatterError("point-wise covariance singular after ridge") from None
-
-    medians = geometric_medians_batch(values)
-    return ReferenceFrame(group.grid, n, p, means, inv_cov, medians)
+    return group if isinstance(group, ReferenceFrame) else ReferenceFrame(group.label, group.curves)
 
 
-def squared_mahalanobis(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
+def squared_mahalanobis(values: np.ndarray, moments: PointwiseMoments) -> np.ndarray:
     """Point-wise squared Mahalanobis distances of a batch of curves to the
-    frame's means, clipped at zero: (N, m, p) -> (N, m)."""
-    diff = values - frame.means[None]
-    maha2 = np.einsum("nmi,mij,nmj->nm", diff, frame.inv_cov, diff)
+    means, clipped at zero: (N, m, p) -> (N, m)."""
+    diff = values - moments.means[None]
+    maha2 = np.einsum("nmi,mij,nmj->nm", diff, moments.inv_cov, diff)
     return np.maximum(maha2, 0.0, out=maha2)
 
 
 def _outlyingness_values(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
     """Outlyingness vectors for a batch of curves: (N, m, p) -> (N, m, p)."""
-    maha2 = squared_mahalanobis(values, frame)
+    maha2 = squared_mahalanobis(values, frame.moments)
     dev = values - frame.medians[None]
     dist = np.linalg.norm(dev, axis=2)
     safe = np.maximum(dist, ZERO_DIRECTION_TOL)
@@ -127,18 +120,17 @@ def _outlyingness_values(values: np.ndarray, frame: ReferenceFrame) -> np.ndarra
     return maha2[:, :, None] * unit
 
 
-def _check_query(curve: Curve, frame: ReferenceFrame) -> np.ndarray:
-    if not curve.grid.same_points(frame.grid):
+def _check_query(curve: Curve, reference: FunctionalGroup) -> np.ndarray:
+    if not curve.grid.same_points(reference.grid):
         raise ValueError("curve and reference group are on different grids")
-    if curve.p != frame.p:
-        raise ValueError(f"curve has p={curve.p}, reference has p={frame.p}")
+    if curve.p != reference.p:
+        raise ValueError(f"curve has p={curve.p}, reference has p={reference.p}")
     return curve.values[None]
 
 
 def pointwise_outlyingness(curve: Curve, reference: FunctionalGroup) -> np.ndarray:
     """Directional outlyingness of one curve at every grid point, as (m, p)."""
-    frame = reference_frame(reference)
-    return _outlyingness_values(_check_query(curve, frame), frame)[0]
+    return _outlyingness_values(_check_query(curve, reference), reference_frame(reference))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +162,7 @@ class BatchSummaries:
 
 def summarize_values(values: np.ndarray, frame: ReferenceFrame) -> BatchSummaries:
     """Summaries for an (N, m, p) batch of curve values against one frame."""
-    w = frame.weights
+    w = frame.moments.weights
     o = _outlyingness_values(values, frame)
     mo = np.einsum("m,nmi->ni", w, o)
     fo = np.einsum("m,nmi,nmi->n", w, o, o)
@@ -187,8 +179,7 @@ def summarize(curve: Curve, reference: FunctionalGroup) -> OutlyingnessSummary:
     The curve is never pooled into the reference: the group's empirical
     distribution alone defines the point-wise depths and medians.
     """
-    frame = reference_frame(reference)
-    return summarize_values(_check_query(curve, frame), frame)[0]
+    return summarize_values(_check_query(curve, reference), reference_frame(reference))[0]
 
 
 def _apply_transform(

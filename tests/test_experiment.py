@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dirout import outlyingness
+from dirout.classify import METHODS
 from dirout.curves import FunctionalGroup, Grid, write_groups_csv
 from dirout.experiment import (
     ExperimentSpec,
@@ -85,6 +87,21 @@ class TestRunExperiment:
     def test_json_round_trip(self):
         spec = ExperimentSpec("1c", ("VOM", "RMD"), n_train=10, n_test=10, replicates=2, seed=9)
         assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+class TestSharedFrames:
+    def test_one_median_computation_per_training_group(self, monkeypatch):
+        calls = []
+        original = outlyingness.geometric_medians_batch
+
+        def counting(values):
+            calls.append(values.shape)
+            return original(values)
+
+        monkeypatch.setattr(outlyingness, "geometric_medians_batch", counting)
+        spec = ExperimentSpec("4", METHODS, n_train=15, n_test=5, replicates=2, seed=3, m=12)
+        run_experiment(spec)
+        assert calls == [(15, 12, 2)] * 4
 
 
 class TestSplitProtocol:

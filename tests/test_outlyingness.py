@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from dirout import outlyingness
 from dirout.curves import Curve, FunctionalGroup, Grid
+from dirout.errors import SingularScatterError
+from dirout.experiment import emit_diagnostics
 from dirout.outlyingness import (
     check_transformation_invariance,
     pointwise_outlyingness,
@@ -218,10 +221,54 @@ class TestReferenceFrame:
         with pytest.raises(ValueError):
             reference_frame(grp)
 
-    def test_cached_per_group(self):
+    def test_frame_of_a_frame_is_itself(self):
+        grp = random_group(np.random.default_rng(15))
+        frame = reference_frame(grp)
+        assert isinstance(frame, FunctionalGroup) and frame is not grp
+        assert frame.curves is grp.curves
+        assert reference_frame(frame) is frame
+
+    def test_each_frame_computes_its_medians_once(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(values.shape)
+            return geometric_medians_batch(values)
+
+        monkeypatch.setattr(outlyingness, "geometric_medians_batch", counting)
         rng = np.random.default_rng(15)
         grp = random_group(rng)
-        assert reference_frame(grp) is reference_frame(grp)
+        curve = Curve(rng.normal(size=(10, 2)), grp.grid)
+        frame = reference_frame(grp)
+        for _ in range(2):
+            summarize(curve, frame)
+            pointwise_outlyingness(curve, frame)
+            summarize_values(grp.values, frame)
+        assert frame.medians is frame.medians
+        assert len(calls) == 1
+        # nothing is kept outside the frame: a new frame of the group computes anew
+        summarize(curve, grp)
+        assert len(calls) == 2
+
+    def test_mismatch_raises_before_any_statistic(self, monkeypatch, tmp_path):
+        def fail(values):
+            raise AssertionError("geometric_medians_batch called")
+
+        monkeypatch.setattr(outlyingness, "geometric_medians_batch", fail)
+        rng = np.random.default_rng(17)
+        ref = random_group(rng, m=10, p=2)
+        other_grid = Curve(rng.normal(size=(11, 2)), uniform_grid(11))
+        other_p = Curve(rng.normal(size=(10, 3)), ref.grid)
+        for curve in (other_grid, other_p):
+            for fn in (summarize, pointwise_outlyingness):
+                with pytest.raises(ValueError):
+                    fn(curve, ref)
+        out = tmp_path / "diag.csv"
+        with pytest.raises(ValueError, match="share grid and dimension"):
+            emit_diagnostics(random_group(rng, m=10, p=3), ref, out)
+        with pytest.raises(ValueError, match="curve_ids length"):
+            emit_diagnostics(random_group(rng, m=10, p=2), ref, out, curve_ids=["a"])
+        assert not out.exists()
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(16)
@@ -229,3 +276,41 @@ class TestReferenceFrame:
         other = Curve(rng.normal(size=(11, 2)), uniform_grid(11))
         with pytest.raises(ValueError):
             summarize(other, ref)
+
+
+def growth_group(rng, label, n=30, m=12, p=2, shift=0.0):
+    """Curves that all start at 0, with scatter growing in t."""
+    t = np.linspace(0.0, 1.0, m)
+    vals = (shift + rng.normal(size=(n, m, p))) * t[None, :, None]
+    return FunctionalGroup.from_values(label, vals, Grid(t))
+
+
+class TestZeroScatterPoints:
+    def test_flat_points_carry_no_weight_and_no_outlyingness(self):
+        rng = np.random.default_rng(18)
+        ref = growth_group(rng, "ref")
+        vals = ref.values.copy()
+        vals[:, 5] = 0.1  # one common non-zero value: no scatter, whatever the rounding
+        ref = FunctionalGroup.from_values("ref", vals, ref.grid)
+        means, inv_cov, w = reference_frame(ref).moments
+        flat = np.zeros(ref.grid.m, dtype=bool)
+        flat[[0, 5]] = True
+        assert np.all(inv_cov[flat] == 0.0) and np.all(w[flat] == 0.0)
+        np.testing.assert_allclose(w[~flat], ref.grid.weights[~flat] / ref.grid.weights[~flat].sum())
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+        curve = Curve(rng.normal(size=(ref.grid.m, 2)), ref.grid)
+        o = pointwise_outlyingness(curve, ref)
+        assert np.all(o[flat] == 0.0) and np.all(np.isfinite(o))
+        s = summarize(curve, ref)
+        assert s.fo == pytest.approx(np.sum(w * np.einsum("mi,mi->m", o, o)), rel=1e-12)
+        assert s.mo == pytest.approx(w @ o, rel=1e-12)
+
+    def test_without_flat_points_the_grid_weights_are_kept(self):
+        ref = random_group(np.random.default_rng(19))
+        assert reference_frame(ref).moments.weights is ref.grid.weights
+
+    def test_all_points_flat_raises(self):
+        grp = FunctionalGroup.from_values("flat", np.full((6, 10, 2), 0.3), uniform_grid())
+        with pytest.raises(SingularScatterError, match="every grid point"):
+            reference_frame(grp).moments
