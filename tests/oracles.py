@@ -5,13 +5,26 @@ versions here check those kernels one point cloud at a time. The plain
 Weiszfeld batch kernel (geometric_medians_batch, with its own vertex test)
 is the library's median kernel before it skipped repeated vertex tests and
 finished stalled columns with Newton steps: every median it returns, the
-library must return bit for bit.
+library must return bit for bit. The looped FAST-MCD (mcd_fit, with its
+one-subset c_step) is the library's fit before the screening c-steps of all
+elemental starts ran as one stacked pass: the library must return its every
+fit bit for bit.
 """
 
 import numpy as np
 
-from dirout.errors import ConvergenceError, SingularScatterError
+from dirout.errors import ConvergenceError, DegenerateDataError, SingularScatterError
 from dirout.outlyingness import COND_LIMIT, RIDGE_EPS
+from dirout.robust import (
+    DET_RTOL,
+    MAX_FULL_STEPS,
+    N_KEEP,
+    N_STARTS,
+    SCREEN_STEPS,
+    McdFit,
+    consistency_factor,
+    default_h,
+)
 
 
 def _as_cloud(cloud) -> np.ndarray:
@@ -161,3 +174,114 @@ def geometric_medians_batch(
         f"batch geometric median did not converge in {max_iter} iterations",
         last_iterate=z,
     )
+
+
+def _subset_stats(points: np.ndarray, subset: np.ndarray):
+    sel = points[subset]
+    loc = sel.mean(axis=0)
+    diff = sel - loc
+    cov = diff.T @ diff / len(subset)
+    return loc, cov
+
+
+def c_step(points: np.ndarray, subset: np.ndarray, h: int):
+    """One concentration step of one subset: (new_subset or None, location,
+    covariance, determinant)."""
+    loc, cov = _subset_stats(points, subset)
+    det = float(np.linalg.det(cov))
+    if det <= 0.0:
+        return None, loc, cov, det
+    diff = points - loc
+    d2 = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+    new_subset = np.sort(np.argsort(d2, kind="stable")[:h])
+    return new_subset, loc, cov, det
+
+
+def _elemental_subset(points: np.ndarray, rng, h: int) -> np.ndarray | None:
+    """Draw a (d+1)-point start and expand it until its covariance is regular."""
+    n, d = points.shape
+    size = min(d + 1, n)
+    subset = rng.choice(n, size=size, replace=False)
+    while True:
+        _, cov = _subset_stats(points, subset)
+        if np.linalg.det(cov) > 0.0:
+            step = c_step(points, subset, h)[0]
+            return step
+        if len(subset) == n:
+            return None
+        extra = rng.choice(np.setdiff1d(np.arange(n), subset), size=1)
+        subset = np.concatenate([subset, extra])
+
+
+def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
+    """Concentrate a subset until the determinant stops decreasing."""
+    best = None
+    for _ in range(max_steps):
+        new_subset, loc, cov, det = c_step(points, subset, h)
+        if new_subset is None:
+            return subset, loc, cov, 0.0
+        if best is not None and best - det <= DET_RTOL * best:
+            return subset, loc, cov, det
+        best = det
+        if np.array_equal(new_subset, subset):
+            return subset, loc, cov, det
+        subset = new_subset
+    loc, cov = _subset_stats(points, subset)
+    return subset, loc, cov, float(np.linalg.det(cov))
+
+
+def screen(points: np.ndarray, h: int, rng_seed: int) -> list:
+    """(determinant, subset) of each elemental start that reached a regular
+    covariance, in start order, after SCREEN_STEPS c-steps (0.0 for an exact fit)."""
+    seeds = np.random.SeedSequence(rng_seed).spawn(N_STARTS)
+    candidates = []
+    for seq in seeds:
+        rng = np.random.default_rng(seq)
+        subset = _elemental_subset(points, rng, h)
+        if subset is None:
+            continue
+        singular = False
+        for _ in range(SCREEN_STEPS):
+            new_subset, _, _, _ = c_step(points, subset, h)
+            if new_subset is None:
+                singular = True
+                break
+            subset = new_subset
+        if singular:
+            candidates.append((0.0, subset))
+        else:
+            _, cov = _subset_stats(points, subset)
+            candidates.append((float(np.linalg.det(cov)), subset))
+    return candidates
+
+
+def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
+    """FAST-MCD one elemental start at a time, one c-step per call."""
+    points = np.asarray(features, dtype=float)
+    n, d = points.shape
+    if h is None:
+        h = default_h(n, d)
+    if h == n:
+        subset = np.arange(n)
+        loc, cov = _subset_stats(points, subset)
+        det = float(np.linalg.det(cov))
+        if det <= 0.0:
+            raise DegenerateDataError("full-sample covariance is singular")
+        return McdFit(subset, loc, cov, det, 1.0, h, n)
+
+    candidates = screen(points, h, rng_seed)
+    if not candidates:
+        raise DegenerateDataError("all elemental starts were singular")
+
+    candidates.sort(key=lambda c: c[0])
+    best = None
+    for det, subset in candidates[:N_KEEP]:
+        subset, loc, cov, det = _iterate(points, subset, h, MAX_FULL_STEPS)
+        if best is None or det < best[0]:
+            best = (det, subset, loc, cov)
+
+    det, subset, loc, cov = best
+    if det <= 0.0 or np.linalg.det(cov) <= 0.0:
+        raise DegenerateDataError("minimum-determinant subset covariance is singular")
+    factor = consistency_factor(h, n, d)
+    return McdFit(np.sort(subset), loc, cov * factor, det, factor, h, n)

@@ -236,12 +236,7 @@ class TestHalfspaceCounts:
 
 
 class TestBatchAgainstSinglePredictions:
-    """``predict_batch`` scores equal one ``predict`` call per curve, bit for bit.
-
-    RMD is left out: ``robust.rmd`` solves for the whole batch at once, so its
-    batch scores can differ from single predictions in the last bits, an open
-    defect recorded in CHANGES.md.
-    """
+    """``predict_batch`` scores equal one ``predict`` call per curve, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -260,7 +255,7 @@ class TestBatchAgainstSinglePredictions:
             values = make(spec).values
             groups.append(FunctionalGroup.from_values(str(cls), values[:n], grid))
             queries += [Curve(v, grid) for v in values[n:]]
-        for method in ("VOM", "FM1", "FM2", "RP1", "RP2"):
+        for method in METHODS:
             model = train(groups, method, rng_seed=seed)
             batch = predict_batch(model, queries)
             for curve, pred in zip(queries, batch):

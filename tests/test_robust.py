@@ -1,10 +1,17 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from dirout.robust import c_step, consistency_factor, default_h, mcd_fit, rmd
+import oracles
+from dirout.errors import DegenerateDataError
+from dirout.outlyingness import reference_frame, summarize_values
+from dirout.robust import _c_steps, _screen, c_step, consistency_factor, default_h, mcd_fit, rmd
+from dirout.simulate import DATASETS, UNIVARIATE, GeneratorSpec, derivative_dataset, generate
 
 
 def exhaustive_mcd(points, h):
@@ -104,6 +111,141 @@ class TestCStep:
                 break
             subset = new_subset
         assert all(a >= b - 1e-12 * abs(a) for a, b in zip(dets, dets[1:]))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_same_step(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) if a.dtype.kind == "i" else np.array_equal(bits(a), bits(b))
+
+
+class TestStackedCSteps:
+    """Row k of a stacked c-step equals a one-row call, bit for bit, so neither
+    the stack size nor how starts are grouped can change a subset."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        extra=st.integers(0, 30),
+        n_subsets=st.integers(1, 12),
+        ties=st.booleans(),
+    )
+    def test_rows_equal_one_row_calls(self, seed, d, extra, n_subsets, ties):
+        rng = np.random.default_rng(seed)
+        n = d + 2 + extra
+        pts = rng.normal(size=(n, d))
+        if ties:
+            pts = np.round(pts, 1)  # duplicates, tied distances, singular subsets
+        h = int(rng.integers(d + 1, n + 1))
+        k = int(rng.integers(d + 1, n + 1))
+        subsets = np.array([rng.choice(n, size=k, replace=False) for _ in range(n_subsets)])
+        stacked = _c_steps(pts, subsets, h)
+        split = int(rng.integers(0, n_subsets + 1))
+        chunks = [_c_steps(pts, part, h) for part in (subsets[:split], subsets[split:])]
+        for i, subset in enumerate(subsets):
+            one_row = [part[0] for part in _c_steps(pts, subset[None], h)]
+            assert_same_step([part[i] for part in stacked], one_row)
+        for part, chunked in zip(stacked, zip(*chunks)):
+            assert_same_step([part], [np.concatenate(chunked)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), extra=st.integers(0, 30))
+    def test_determinants_do_not_increase(self, seed, d, extra):
+        rng = np.random.default_rng(seed)
+        n = d + 2 + extra
+        pts = rng.standard_t(df=3, size=(n, d))
+        h = default_h(n, d)
+        subsets = np.array([rng.choice(n, size=h, replace=False) for _ in range(8)])
+        previous = None
+        for _ in range(6):
+            new_subsets, _, _, det = _c_steps(pts, subsets, h)
+            if previous is not None:
+                assert np.all(det <= previous + 1e-12 * np.abs(previous))
+            regular = ~(det <= 0.0)
+            subsets, previous = new_subsets[regular], det[regular]
+
+
+def assert_same_fit(fit, want):
+    assert np.array_equal(fit.subset.view(np.int64), want.subset.view(np.int64))
+    for name in ("location", "scatter", "determinant"):
+        assert np.array_equal(bits(getattr(fit, name)), bits(getattr(want, name))), name
+    assert (fit.consistency_factor, fit.h, fit.n) == (want.consistency_factor, want.h, want.n)
+
+
+def assert_same_as_oracle(pts, h=None, seed=0):
+    """Every screened start and the fit (or its error) equal the looped oracle's."""
+    n, d = pts.shape
+    size = default_h(n, d) if h is None else h
+    if size < n:
+        subsets, dets = _screen(pts, size, seed)
+        want = oracles.screen(pts, size, seed)
+        assert len(subsets) == len(want)
+        assert np.array_equal(subsets, np.array([subset for _, subset in want]).reshape(subsets.shape))
+        assert np.array_equal(bits(dets), bits([det for det, _ in want]))
+    try:
+        want = oracles.mcd_fit(pts, h, seed)
+    except DegenerateDataError as error:
+        with pytest.raises(DegenerateDataError, match=re.escape(str(error))):
+            mcd_fit(pts, h, seed)
+        return str(error)
+    assert_same_fit(mcd_fit(pts, h, seed), want)
+
+
+def rmd_features(dataset, derivatives, cls, seed, n=100):
+    make = derivative_dataset if derivatives else generate
+    frame = reference_frame(make(GeneratorSpec(dataset, cls, n, seed=seed)))
+    summaries = summarize_values(frame.values, frame)
+    return np.hstack([summaries.mo, summaries.vo[:, None]])
+
+
+class TestFitAgainstLoopedOracle:
+    """Screening all elemental starts in one stacked pass returns the fit of
+    the loop over starts in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dataset, derivatives",
+        [(d, False) for d in DATASETS] + [(d, True) for d in UNIVARIATE],
+        ids=lambda v: str(v),
+    )
+    def test_rmd_features_of_benchmark_datasets(self, dataset, derivatives):
+        for cls, seed in ((0, 2024), (1, 402)):
+            assert_same_as_oracle(rmd_features(dataset, derivatives, cls, seed), seed=seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicated_points_grow_singular_starts(self, seed):
+        # 6 points repeated 6 times: most 4-point draws are singular and grow
+        rng = np.random.default_rng(21)
+        pts = np.vstack([np.repeat(rng.normal(size=(6, 3)), 6, axis=0), rng.normal(size=(4, 3))])
+        assert_same_as_oracle(pts, seed=seed)
+
+    @pytest.mark.parametrize(
+        "n, d, h", [(20, 2, 20), (12, 2, 3), (4, 2, None), (5, 3, None), (15, 1, None), (40, 4, 5)]
+    )
+    def test_subset_size_extremes(self, n, d, h):
+        pts = np.random.default_rng(n * d).normal(size=(n, d))
+        for seed in range(3):
+            assert_same_as_oracle(pts, h, seed)
+
+    @pytest.mark.parametrize(
+        "on_line, slope, message",
+        [
+            (15, 0.0, "minimum-determinant subset"),
+            (15, 2.0, "minimum-determinant subset"),
+            (20, 0.0, "all elemental starts were singular"),
+        ],
+    )
+    def test_points_on_a_line_raise_alike(self, on_line, slope, message):
+        # at least h points on a line: an exact fit, or no regular start at all;
+        # off the axes, rounding leaves the line's determinants tiny and of either sign
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=on_line)
+        line = np.column_stack([x, slope * x + 1.0])
+        pts = np.vstack([line, rng.normal(size=(20 - on_line, 2))])
+        assert message in assert_same_as_oracle(pts, seed=23)
 
 
 class TestConsistencyFactor:
