@@ -6,15 +6,22 @@ full iteration of the best few) and rescales the subset covariance with the
 usual chi-square consistency factor so distances are comparable across fits.
 One stacked kernel takes the concentration steps of many subsets at once; the
 screening steps of all elemental starts run through it together.
+
+The consistency factor needs the chi-square CDF and quantile at integer
+degrees of freedom only, which are computed here with the standard library:
+the lower incomplete gamma power series near the bulk, the closed forms of
+Abramowitz & Stegun 26.4.4-26.4.5 in the upper tail, and Newton steps for the
+quantile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError
 
 __all__ = ["McdFit", "mcd_fit", "rmd", "default_h", "c_step", "consistency_factor"]
 
@@ -30,20 +37,88 @@ def default_h(n: int, d: int) -> int:
     return (n + d + 1) // 2
 
 
+def _chi2_term(k: int, y: float) -> float:
+    """e^-y y^(k/2) / Gamma(k/2 + 1) for an integer k >= 0, as a product of
+    ratios y / i (even k) or y / (i + 1/2) (odd k), so that no large power
+    or gamma value is formed."""
+    if k % 2:
+        term = 2.0 * math.sqrt(y / math.pi)
+        for i in range(1, (k + 1) // 2):
+            term *= y / (i + 0.5)
+    else:
+        term = 1.0
+        for i in range(1, k // 2 + 1):
+            term *= y / i
+    return term * math.exp(-y)
+
+
+def _chi2_cdf(x: float, k: int) -> float:
+    """Chi-square CDF at x >= 0 with integer k >= 1 degrees of freedom: the
+    regularized lower incomplete gamma P(k/2, x/2)."""
+    y = 0.5 * x
+    if x < k + 2:
+        # P(a, y) = term(a) * sum_i y^i / ((a+1)...(a+i)); below y = a + 1 the
+        # series terms fall from the first, and no subtraction cancels
+        total = step = 1.0
+        i = 1
+        while step > 2.0**-60 * total:
+            step *= y / (0.5 * k + i)
+            total += step
+            i += 1
+        return _chi2_term(k, y) * total
+    # A&S 26.4.4-26.4.5: P = erf(sqrt y) (odd k) or 1 (even k), less the
+    # terms of k - 2, k - 4, ... down to 1 or 0; they sum to the upper tail,
+    # which is small out here
+    tail = math.fsum(_chi2_term(j, y) for j in range(k % 2, k - 1, 2))
+    return (math.erf(math.sqrt(y)) if k % 2 else 1.0) - tail
+
+
+def _chi2_ppf(p: float, k: int) -> float:
+    """Chi-square quantile for 0 < p < 1 with integer k >= 1 degrees of
+    freedom: Newton steps on `_chi2_cdf` from the Wilson-Hilferty
+    approximation, halving the iterate where a step would reach x <= 0."""
+    from statistics import NormalDist  # imported here: it adds 5 ms to `import dirout`
+
+    c = 2.0 / (9.0 * k)
+    x = k * max(1.0 - c + NormalDist().inv_cdf(p) * math.sqrt(c), 1e-3) ** 3
+    for _ in range(200):
+        # the density at x is term(k, x/2) * (k/2) / x
+        new = x - (_chi2_cdf(x, k) - p) * x / (0.5 * k * _chi2_term(k, 0.5 * x))
+        if new <= 0.0:
+            new = 0.5 * x
+        elif abs(new - x) <= 1e-10 * x:
+            return new
+        x = new
+    raise ConvergenceError(f"chi-square quantile of {p} with {k} degrees of freedom", x)
+
+
 def consistency_factor(h: int, n: int, d: int) -> float:
-    """Chi-square scaling making the subset covariance consistent for Gaussians."""
-    from scipy.stats import chi2  # imported here: scipy.stats dominates `import dirout`
-    frac = h / n
-    if frac >= 1.0:
+    """Chi-square scaling h/n / F_{d+2}(F_d^{-1}(h/n)) that makes the
+    covariance of the h of n points of an MCD subset consistent for Gaussian
+    data in d dimensions; exactly 1.0 at h = n.
+
+    Raises:
+        ValueError: unless d >= 1 and d + 1 <= h <= n.
+    """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if not d + 1 <= h <= n:
+        raise ValueError(f"h must satisfy {d + 1} <= h <= {n}, got {h}")
+    if h == n:
         return 1.0
-    q = chi2.ppf(frac, d)
-    return frac / chi2.cdf(q, d + 2)
+    frac = h / n
+    return frac / _chi2_cdf(_chi2_ppf(frac, d), d + 2)
 
 
 def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     """Means, covariances (divisor k) and determinants of S index subsets of
-    equal size k: (S, k) -> (S, d), (S, d, d), (S,)."""
-    sel = points[subsets]
+    equal size k: (S, k) -> (S, d), (S, d, d), (S,).
+
+    Each row is summed in sorted index order, so a fit depends on the set of
+    indices and not on the order they are listed in; otherwise the rounding
+    of a near-singular covariance could give one set two determinants.
+    """
+    sel = points[np.sort(subsets, axis=1)]
     loc = sel.mean(axis=1)
     diff = sel - loc[:, None, :]
     # a stacked matmul reproduces the bits of the one-subset ``diff.T @ diff``

@@ -177,7 +177,7 @@ def geometric_medians_batch(
 
 
 def _subset_stats(points: np.ndarray, subset: np.ndarray):
-    sel = points[subset]
+    sel = points[np.sort(subset)]
     loc = sel.mean(axis=0)
     diff = sel - loc
     cov = diff.T @ diff / len(subset)

@@ -1,6 +1,9 @@
 """Structural rules of the package source, checked on its syntax trees."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,52 @@ def test_no_hidden_module_state(path):
         elif isinstance(node, ast.Global):
             found.append(f"global {', '.join(node.names)}")
     assert not found, f"{path.name} keeps module-level state: {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_scipy_imports(path):
+    """The runtime needs only numpy: no module imports scipy, at module level
+    or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, f"{path.name} imports scipy: {found}"
+
+
+# runs ``python -m dirout ARGS`` with every import of scipy failing
+WITHOUT_SCIPY = """
+import runpy, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+runpy.run_module("dirout", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_cli_runs_rmd_without_scipy(tmp_path):
+    def dirout_cli(*args):
+        src = str(Path(dirout.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *args],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    for label in ("0", "1"):
+        dirout_cli("simulate", "--data", "4", "--class", label, "--n", "20", "--m", "10",
+                   "--seed", label, "--out", f"class{label}.csv")
+    class0, class1 = ((tmp_path / f"class{label}.csv").read_text() for label in ("0", "1"))
+    (tmp_path / "both.csv").write_text(class0 + class1.split("\n", 1)[1])
+    dirout_cli("classify", "--train", "both.csv", "--test", "both.csv", "--method", "RMD",
+               "--out", "pred.csv")
+    assert len((tmp_path / "pred.csv").read_text().splitlines()) == 41

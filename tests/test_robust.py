@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -154,6 +154,9 @@ class TestStackedCSteps:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), extra=st.integers(0, 30))
+    # three nearly collinear points: their determinant differed in the 9th
+    # digit between the drawn index order and the sorted one
+    @example(seed=13622724, d=2, extra=0)
     def test_determinants_do_not_increase(self, seed, d, extra):
         rng = np.random.default_rng(seed)
         n = d + 2 + extra
@@ -259,6 +262,40 @@ class TestConsistencyFactor:
         q = chi2.ppf(frac, 2)
         assert c == pytest.approx(frac / chi2.cdf(q, 4), rel=1e-12)
         assert c > 1.0
+
+    @staticmethod
+    def scipy_factors(hs, n, d):
+        frac = np.asarray(hs) / n
+        return frac / chi2.cdf(chi2.ppf(frac, d), d + 2)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_scipy_over_admissible_h(self, d):
+        for n in [*range(d + 2, d + 12), *range(d + 12, 1201, 97), 1200]:
+            hs = range(d + 1, n + 1, max(1, n // 40))
+            got = np.array([consistency_factor(h, n, d) for h in hs])
+            np.testing.assert_allclose(got, self.scipy_factors(hs, n, d), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_protocol_cases_within_8_ulp(self, n, d):
+        h = default_h(n, d)
+        want = self.scipy_factors([h], n, d)[0]
+        assert abs(consistency_factor(h, n, d) - want) <= 8 * np.spacing(want)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    @pytest.mark.parametrize("n", [15, 100, 1200])
+    def test_non_increasing_in_h(self, n, d):
+        got = [consistency_factor(h, n, d) for h in range(d + 1, n + 1)]
+        assert all(a >= b for a, b in zip(got, got[1:]))
+        assert got[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "h, n, d",
+        [(0, 10, 2), (2, 10, 2), (11, 10, 2), (5, 10, 0), (5, 10, -1), (1, 10, 0)],
+    )
+    def test_rejects_out_of_range(self, h, n, d):
+        with pytest.raises(ValueError):
+            consistency_factor(h, n, d)
 
 
 class TestRmd:
