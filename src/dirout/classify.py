@@ -135,7 +135,8 @@ def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray, order=None):
     # it in the merge; there it is #{ref <= the float just below q}
     below = np.take(sorted_ref, np.maximum(le - 1, 0) + n * np.arange(R)[:, None])
     rows = np.flatnonzero((below == sorted_q).any(axis=1))
-    ge[rows] = n - _refs_at_or_below(sorted_ref[rows], np.nextafter(sorted_q[rows], -np.inf))
+    if rows.size:
+        ge[rows] = n - _refs_at_or_below(sorted_ref[rows], np.nextafter(sorted_q[rows], -np.inf))
     counts = np.empty((2, R * N), dtype=le.dtype)
     counts[0, flat], counts[1, flat] = le, ge
     return counts.reshape(2, R, N)
@@ -332,15 +333,16 @@ METHODS = tuple(_METHODS)
 
 
 def _check_batch(model: TrainedModel, curves) -> np.ndarray:
-    if isinstance(curves, FunctionalGroup):
-        curves = curves.curves
-    curves = list(curves)
-    if not curves:
+    """Query values (N, m, p): a group's own array, checked once, or a list of
+    curves checked one by one and stacked."""
+    group = isinstance(curves, FunctionalGroup)
+    queries = [curves] if group else list(curves)
+    if not queries:
         raise ValueError("no curves to classify")
-    for c in curves:
-        if not c.grid.same_points(model.grid) or c.p != model.p:
+    for q in queries:
+        if not q.grid.same_points(model.grid) or q.p != model.p:
             raise ValueError("query curves must match the model's grid and dimension")
-    return np.stack([c.values for c in curves])
+    return curves.values if group else np.stack([q.values for q in queries])
 
 
 def predict_batch(model: TrainedModel, curves) -> list[Prediction]:

@@ -9,6 +9,7 @@ observation interval.
 from __future__ import annotations
 
 import csv
+import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -103,52 +104,70 @@ class Curve:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FunctionalGroup:
-    """A labeled collection of curves sharing one grid."""
+    """A labeled collection of curves sharing one grid, held as one read-only
+    (n, m, p) array of values; ``curves`` are made from it on first use."""
 
     label: str
-    curves: tuple[Curve, ...]
+    values: np.ndarray
+    grid: Grid
 
-    def __post_init__(self):
-        curves = tuple(self.curves)
+    def __init__(self, label: str, curves):
+        curves = tuple(curves)
         if not curves:
             raise ValueError("group must contain at least one curve")
         grid = curves[0].grid
         p = curves[0].p
         for c in curves[1:]:
             if not grid.same_points(c.grid):
-                raise ValueError(f"curves in group {self.label!r} are on different grids")
+                raise ValueError(f"curves in group {label!r} are on different grids")
             if c.p != p:
-                raise ValueError(f"curves in group {self.label!r} differ in dimension")
-        object.__setattr__(self, "curves", curves)
+                raise ValueError(f"curves in group {label!r} differ in dimension")
+        self._hold(label, np.stack([c.values for c in curves]), grid)
+        self.__dict__["curves"] = curves
+
+    def _hold(self, label: str, values: np.ndarray, grid: Grid) -> None:
+        values = values.view()
+        values.flags.writeable = False
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "grid", grid)
 
     @classmethod
     def from_values(cls, label: str, values: np.ndarray, grid: Grid) -> "FunctionalGroup":
-        """Build a group from an (n, m, p) or (n, m) value array."""
+        """Build a group from an (n, m, p) or (n, m) value array, checked as a
+        whole and kept (not copied) when it is a C-contiguous float array."""
         values = np.asarray(values, dtype=float)
         if values.ndim == 2:
             values = values[:, :, None]
         if values.ndim != 3:
             raise ValueError(f"expected (n, m, p) values, got shape {values.shape}")
-        return cls(label, tuple(Curve(v, grid) for v in values))
+        n, m, p = values.shape
+        if n == 0:
+            raise ValueError("group must contain at least one curve")
+        if m != grid.m:
+            raise ValueError(f"curve has {m} rows but grid has {grid.m} points")
+        if p < 1:
+            raise ValueError("curve needs at least one component")
+        if not np.isfinite(values).all():
+            raise ValueError("curve values must be finite")
+        group = cls.__new__(cls)
+        group._hold(label, np.ascontiguousarray(values), grid)
+        return group
 
     @property
     def n(self) -> int:
-        return len(self.curves)
+        return self.values.shape[0]
 
     @property
     def p(self) -> int:
-        return self.curves[0].p
-
-    @property
-    def grid(self) -> Grid:
-        return self.curves[0].grid
+        return self.values.shape[2]
 
     @cached_property
-    def values(self) -> np.ndarray:
-        """All curves stacked into an (n, m, p) array."""
-        return np.stack([c.values for c in self.curves])
+    def curves(self) -> tuple[Curve, ...]:
+        """One ``Curve`` per row of ``values``."""
+        return tuple(Curve(v, self.grid) for v in self.values)
 
 
 def integrate(values, grid: Grid) -> float:
@@ -210,11 +229,11 @@ def write_groups_csv(groups, path) -> None:
         writer.writerow(["curve_id", "group", "t"] + [f"c{k + 1}" for k in range(p)])
         for g in groups:
             width = max(4, len(str(g.n - 1)))
-            for i, curve in enumerate(g.curves):
+            for i, values in enumerate(g.values):
                 cid = f"{g.label}-{i:0{width}d}"
                 for j, t in enumerate(grid.points):
                     row = [cid, g.label, _format_float(t)]
-                    row += [_format_float(v) for v in curve.values[j]]
+                    row += [_format_float(v) for v in values[j]]
                     writer.writerow(row)
 
 
@@ -244,78 +263,140 @@ def _row_error(table: array, width: int, stop: int, starts, curves, blanks):
     return None
 
 
-def read_groups_csv(path):
-    """Read the long-format curves CSV into groups keyed by the group column.
+# Data rows per ``np.loadtxt`` call in ``read_groups_csv``. Besides its
+# numbers a chunk holds two str objects per row (id and group); one call over
+# a whole 100,000-row, p = 2 file peaked about 13 MiB higher.
+_CHUNK_ROWS = 2048
 
-    Values are parsed with Python ``float``. A curve's rows must be contiguous,
-    with strictly increasing ``t``, and every curve must share the first
-    curve's grid of at least two points; blank records are skipped.
 
-    Returns:
-        (groups, report): groups is a dict label -> FunctionalGroup with labels
-        in sorted order; report is a dict with keys ``n_per_group``, ``m``,
-        ``p`` and ``curve_ids`` (label -> curve ids in file order).
+def _read_header(reader) -> int:
+    """Check the header record and return the number of components p."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError("empty file") from None
+    header = [h.strip() for h in header]
+    if header[:3] != ["curve_id", "group", "t"]:
+        raise CsvFormatError(
+            f"header must start with curve_id,group,t; got {','.join(header[:3])}", row=1
+        )
+    comp_names = header[3:]
+    p = len(comp_names)
+    if p < 1 or comp_names != [f"c{k + 1}" for k in range(p)]:
+        raise CsvFormatError("component columns must be named c1..cp", row=1)
+    return p
+
+
+def _loadtxt_rows(fh, p: int):
+    """The data rows left in ``fh``, parsed by ``np.loadtxt`` in chunks and
+    checked as whole arrays, as ``(rows, starts, curves)`` like
+    ``_record_rows``; None if loadtxt refuses a record or a row check fails.
+
+    Where loadtxt accepts a file, it splits and unquotes fields as
+    ``csv.reader`` does and parses numbers with the same routine as ``float``;
+    what ``float`` or ``csv`` accept beyond that (``1_000``, non-ASCII digits,
+    whitespace-only records) makes loadtxt raise. Unlike ``csv.reader``, it
+    reads a number longer than ``csv.field_size_limit()``.
+    """
+    names = ["t"] + [f"c{k + 1}" for k in range(p)]
+    dtype = np.dtype([("id", object), ("group", object)] + [(name, float) for name in names])
+    numbers, starts, cids, labels = [], [], [], []
+    nrows, last = 0, None
+    with warnings.catch_warnings():
+        # the chunk after a last full one is empty, and blank records are not
+        # counted towards max_rows: loadtxt warns about both
+        warnings.filterwarnings(
+            "ignore", "(loadtxt: input|Input line [0-9]+) contained no data", UserWarning
+        )
+        while True:
+            try:
+                chunk = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                    max_rows=_CHUNK_ROWS, ndmin=1,
+                )
+            except ValueError:
+                return None
+            k = chunk.shape[0]
+            if not k:
+                break
+            # a curve starts where (id, group) changes; the rest of a chunk is numbers
+            ids, groups = chunk["id"], chunk["group"]
+            new = np.empty(k, dtype=bool)
+            new[0] = (ids[0], groups[0]) != last
+            new[1:] = (ids[1:] != ids[:-1]) | (groups[1:] != groups[:-1])
+            at = np.flatnonzero(new)
+            starts.append(at + nrows)
+            cids += ids[at].tolist()
+            labels += groups[at].tolist()
+            numbers.append(np.stack([chunk[name] for name in names], axis=1))
+            nrows += k
+            last = (ids[-1], groups[-1])
+            if k < _CHUNK_ROWS:
+                break
+    if not nrows:
+        return None
+    rows = np.concatenate(numbers)
+    starts = np.concatenate(starts)
+    # an id seen at two curve starts is a non-contiguous curve or one under
+    # two groups; csv.reader refuses a field longer than its limit
+    curves = dict(zip(cids, labels))
+    if len(curves) < len(cids) or max(map(len, cids + labels)) > csv.field_size_limit():
+        return None
+    t = rows[:, 0]
+    first = np.zeros(nrows, dtype=bool)
+    first[starts] = True
+    if not np.isfinite(rows).all() or not ((t[1:] > t[:-1]) | first[1:]).all():
+        return None
+    return rows, starts, curves
+
+
+def _record_rows(reader, p: int):
+    """The data records left in ``reader``, one at a time: ``(rows, starts,
+    curves)`` with the (N, 1 + p) values of t, c1..cp, each curve's first row
+    and a dict curve id -> group in file order.
 
     Raises:
-        CsvFormatError: on schema violations. A violation found in a row
-            carries the row's 1-based CSV record number (the header is record
-            1, blank records count); the first offending record is reported.
+        CsvFormatError: for the first offending record, with its number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file") from None
-        header = [h.strip() for h in header]
-        if header[:3] != ["curve_id", "group", "t"]:
-            raise CsvFormatError(
-                f"header must start with curve_id,group,t; got {','.join(header[:3])}", row=1
+    # One pass that stores columns: t, c1..cp of every data row back to
+    # back in ``table``; id, group and first data row once per curve.
+    width = 1 + p
+    table = array("d")
+    extend = table.extend
+    curves: dict[str, str] = {}  # curve id -> group, in file order
+    starts: list[int] = []
+    blanks: list[int] = []
+    cid = label = None
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != 2 + width:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                blanks.append(len(table) // width)
+                continue
+            raise _row_error(table, width, len(table) // width, starts, curves, blanks) or (
+                CsvFormatError(f"expected {2 + width} fields, found {len(row)}", row=rownum)
             )
-        comp_names = header[3:]
-        p = len(comp_names)
-        if p < 1 or comp_names != [f"c{k + 1}" for k in range(p)]:
-            raise CsvFormatError("component columns must be named c1..cp", row=1)
-
-        # One pass that stores columns: t, c1..cp of every data row back to
-        # back in ``table``; id, group and first data row once per curve.
-        width = 1 + p
-        table = array("d")
-        extend = table.extend
-        curves: dict[str, str] = {}  # curve id -> group, in file order
-        starts: list[int] = []
-        blanks: list[int] = []
-        cid = label = None
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != 2 + width:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    blanks.append(len(table) // width)
-                    continue
-                raise _row_error(table, width, len(table) // width, starts, curves, blanks) or (
-                    CsvFormatError(f"expected {2 + width} fields, found {len(row)}", row=rownum)
-                )
-            try:
-                extend(map(float, row[2:]))
-            except ValueError:  # _row_error reads whole rows: a partial one is ignored
-                raise _row_error(table, width, len(table) // width, starts, curves, blanks) or (
-                    CsvFormatError("non-numeric value", row=rownum)
-                ) from None
-            if row[0] == cid and row[1] == label:
-                continue
-            if row[0] != cid and row[0] not in curves:
-                cid, label = row[0], row[1]
-                curves[cid] = label
-                starts.append(len(table) // width - 1)
-                continue
-            if row[0] != cid:
-                error = CsvFormatError(f"rows of curve {row[0]!r} are not contiguous", row=rownum)
-            else:
-                error = CsvFormatError(
-                    f"curve {cid!r} listed under two groups ({label!r}, {row[1]!r})", row=rownum
-                )
-            if not np.isfinite(table[-width:]).all():
-                error = CsvFormatError("non-finite value", row=rownum)
-            raise _row_error(table, width, len(table) // width - 1, starts, curves, blanks) or error
+        try:
+            extend(map(float, row[2:]))
+        except ValueError:  # _row_error reads whole rows: a partial one is ignored
+            raise _row_error(table, width, len(table) // width, starts, curves, blanks) or (
+                CsvFormatError("non-numeric value", row=rownum)
+            ) from None
+        if row[0] == cid and row[1] == label:
+            continue
+        if row[0] != cid and row[0] not in curves:
+            cid, label = row[0], row[1]
+            curves[cid] = label
+            starts.append(len(table) // width - 1)
+            continue
+        if row[0] != cid:
+            error = CsvFormatError(f"rows of curve {row[0]!r} are not contiguous", row=rownum)
+        else:
+            error = CsvFormatError(
+                f"curve {cid!r} listed under two groups ({label!r}, {row[1]!r})", row=rownum
+            )
+        if not np.isfinite(table[-width:]).all():
+            error = CsvFormatError("non-finite value", row=rownum)
+        raise _row_error(table, width, len(table) // width - 1, starts, curves, blanks) or error
 
     nrows = len(table) // width
     if not nrows:
@@ -323,7 +404,16 @@ def read_groups_csv(path):
     error = _row_error(table, width, nrows, starts, curves, blanks)
     if error is not None:
         raise error
-    rows = np.frombuffer(table, dtype=float).reshape(nrows, width)
+    return np.frombuffer(table, dtype=float).reshape(nrows, width), starts, curves
+
+
+def _groups(rows: np.ndarray, starts, curves: dict, p: int):
+    """``read_groups_csv``'s result from checked data rows.
+
+    Raises:
+        CsvFormatError: if the curves do not share one grid of 2 or more points.
+    """
+    nrows = rows.shape[0]
     t = rows[:, 0]
     lengths = np.diff(np.append(starts, nrows))
     m = int(lengths[0])
@@ -360,3 +450,38 @@ def read_groups_csv(path):
         "curve_ids": {label: [cids[i] for i in idx] for label, idx in members.items()},
     }
     return groups, report
+
+
+def read_groups_csv(path):
+    """Read the long-format curves CSV into groups keyed by the group column.
+
+    Values are parsed with Python ``float``. A curve's rows must be contiguous,
+    with strictly increasing ``t``, and every curve must share the first
+    curve's grid of at least two points; blank records are skipped.
+
+    A well-formed file is parsed by ``np.loadtxt`` in C and checked with
+    whole-array operations. A file loadtxt refuses (``1_000``, non-ASCII
+    digits, a whitespace-only record) or that fails a row check is read again
+    record by record with ``csv.reader``, the one pass that words and numbers
+    the error of a record. Both passes give the same groups for a file
+    loadtxt accepts.
+
+    Returns:
+        (groups, report): groups is a dict label -> FunctionalGroup with labels
+        in sorted order; report is a dict with keys ``n_per_group``, ``m``,
+        ``p`` and ``curve_ids`` (label -> curve ids in file order).
+
+    Raises:
+        CsvFormatError: on schema violations. A violation found in a row
+            carries the row's 1-based CSV record number (the header is record
+            1, blank records count); the first offending record is reported.
+    """
+    with open(path, newline="") as fh:
+        p = _read_header(csv.reader(fh))
+        parsed = _loadtxt_rows(fh, p)
+    if parsed is not None:
+        return _groups(*parsed, p)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        _read_header(reader)
+        return _groups(*_record_rows(reader, p), p)

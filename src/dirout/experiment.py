@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .classify import METHODS, ClassifierConfig, predict_batch, train
-from .curves import FunctionalGroup, derivative_augment, read_groups_csv
+from .curves import Curve, FunctionalGroup, derivative_augment, read_groups_csv
 from .outlyingness import ReferenceFrame, reference_frame, summarize_values
 from .simulate import DATASETS, GeneratorSpec, default_grid, derivative_dataset, generate
 from .seeding import derive_seed
@@ -150,8 +150,8 @@ def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
         )
     perm = rng.permutation(group.n)
     train_idx, test_idx = perm[:n_train], perm[n_train : n_train + n_test]
-    train_g = ReferenceFrame(group.label, tuple(group.curves[i] for i in train_idx))
-    test_curves = [group.curves[i] for i in test_idx]
+    train_g = ReferenceFrame.from_values(group.label, group.values[train_idx], group.grid)
+    test_curves = [Curve(v, group.grid) for v in group.values[test_idx]]
     return train_g, test_curves
 
 

@@ -92,12 +92,14 @@ class ReferenceFrame(FunctionalGroup):
 
 
 def reference_frame(group: FunctionalGroup) -> ReferenceFrame:
-    """``group`` itself if it is a frame, else a new frame of its curves."""
+    """``group`` itself if it is a frame, else a new frame of its values."""
     if group.n < group.p + 2:
         raise ValueError(
             f"reference group {group.label!r} needs at least p+2={group.p + 2} curves, has {group.n}"
         )
-    return group if isinstance(group, ReferenceFrame) else ReferenceFrame(group.label, group.curves)
+    if isinstance(group, ReferenceFrame):
+        return group
+    return ReferenceFrame.from_values(group.label, group.values, group.grid)
 
 
 def squared_mahalanobis(values: np.ndarray, moments: PointwiseMoments) -> np.ndarray:

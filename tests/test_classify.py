@@ -255,13 +255,17 @@ class TestBatchAgainstSinglePredictions:
             values = make(spec).values
             groups.append(FunctionalGroup.from_values(str(cls), values[:n], grid))
             queries += [Curve(v, grid) for v in values[n:]]
+        # a group of queries is scored from its own array, not restacked
+        query_group = FunctionalGroup.from_values("q", np.stack([c.values for c in queries]), grid)
         for method in METHODS:
             model = train(groups, method, rng_seed=seed)
             batch = predict_batch(model, queries)
-            for curve, pred in zip(queries, batch):
+            grouped = predict_batch(model, query_group)
+            for curve, pred, in_group in zip(queries, batch, grouped):
                 single = predict(model, curve)
                 assert np.array_equal(single.scores, pred.scores), method
-                assert single.label == pred.label
+                assert np.array_equal(in_group.scores, pred.scores), method
+                assert single.label == pred.label == in_group.label
 
 
 def growth_group(rng, label, n=30, m=12, shift=0.0):

@@ -1,8 +1,12 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirout import curves as curves_module
 from dirout.curves import (
     Curve,
     FunctionalGroup,
@@ -107,6 +111,26 @@ class TestDerivativeAugment:
 
 
 class TestDataModel:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros(4), r"expected \(n, m, p\) values, got shape \(4,\)"),
+            (np.zeros((0, 4, 1)), "group must contain at least one curve"),
+            (np.zeros((2, 5, 1)), "curve has 5 rows but grid has 4 points"),
+            (np.zeros((2, 4, 0)), "curve needs at least one component"),
+            (np.where(np.arange(8).reshape(2, 4) == 6, np.inf, 0.0), "curve values must be finite"),
+        ],
+    )
+    def test_group_checks_whole_array(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            FunctionalGroup.from_values("g", values, uniform_grid(4))
+
+    def test_group_keeps_its_array_read_only(self):
+        values = np.random.default_rng(6).normal(size=(3, 4, 2))
+        grp = FunctionalGroup.from_values("g", values, uniform_grid(4))
+        assert np.shares_memory(grp.values, values) and not grp.values.flags.writeable
+        assert [c.values.tolist() for c in grp.curves] == values.tolist()
+
     def test_curve_shape_checks(self):
         g = uniform_grid(4)
         with pytest.raises(ValueError):
@@ -331,3 +355,162 @@ class TestCsv:
             assert np.array_equal(got.values.view(np.int64), grp.values.view(np.int64))
             assert np.array_equal(got.grid.points.view(np.int64), grid.points.view(np.int64))
             assert report["curve_ids"][grp.label] == [f"{grp.label}-{i:04d}" for i in range(grp.n)]
+
+
+def _outcome(path):
+    """What ``read_groups_csv`` gives for a file: each group's values and grid
+    as integer bit patterns and the report, or the exception's type, message
+    and row."""
+    try:
+        groups, report = read_groups_csv(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    bits = {
+        label: (g.values.shape, g.values.view(np.int64).tolist(), g.grid.points.view(np.int64).tolist())
+        for label, g in groups.items()
+    }
+    return list(groups), bits, report
+
+
+def _record_pass_outcome(path):
+    """``_outcome`` with the loadtxt path switched off: csv.reader alone."""
+    with mock.patch.object(curves_module, "_loadtxt_rows", lambda fh, p: None):
+        return _outcome(path)
+
+
+# Pieces that loadtxt and csv.reader/float may read differently: quotes, comment
+# and line-end characters, NUL, a byte-order mark, what only ``float`` takes
+# (underscores, surrounding spaces, non-ASCII digits), non-finite numbers and
+# fields that are empty, quoted, or hold a delimiter or a line end.
+PIECES = ['"', "#", "\r", "\n", "\r\n", "\0", "\ufeff", ",", " ", "\t", "_", "1_0", " 2.5 ",
+          "nan", "inf", "-inf", "1e400", "\u0661", "\u2003", '"x\r\ny"', '"a""b"', '"c,d"', '"1.5"',
+          '"g"', "g", "", "0x1p3"]
+BLANK_RECORDS = ["", " ", "\t", '""', ","]
+
+
+class TestCsvParsers:
+    """The loadtxt path and the csv.reader pass read every file the same way."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_read_alike(self, tmp_path_factory, data):
+        p = data.draw(st.integers(1, 2), label="p")
+        m = data.draw(st.integers(2, 3), label="m")
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]), label="eol")
+        number = st.sampled_from(["0.5", "-1.25", "3", "1e-3", "-0.0", "7.25", "2"])
+        lines = ["curve_id,group,t," + ",".join(f"c{k + 1}" for k in range(p))]
+        for c, label in enumerate(data.draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=3),
+                                            label="labels")):
+            for j in range(m):
+                values = [data.draw(number, label="value") for _ in range(p)]
+                lines.append(",".join([f"c{c}", label, f"{j}.0", *values]))
+        ends = [eol] * len(lines)
+        for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(
+                ["insert", "field", "blank", "extra", "drop", "swap", "duplicate", "end"]), label="kind")
+            i = data.draw(st.integers(1, len(lines) - 1), label="line") if len(lines) > 1 else 0
+            line = lines[i]
+            if kind == "insert":
+                k = data.draw(st.integers(0, len(line)), label="at")
+                lines[i] = line[:k] + data.draw(st.sampled_from(PIECES), label="piece") + line[k:]
+            elif kind == "field":
+                fields = line.split(",")
+                fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = data.draw(
+                    st.sampled_from(PIECES), label="piece")
+                lines[i] = ",".join(fields)
+            elif kind == "blank":
+                lines.insert(i, data.draw(st.sampled_from(BLANK_RECORDS), label="blank"))
+                ends.insert(i, eol)
+            elif kind == "extra":
+                lines[i] = line + ",1.0"
+            elif kind == "drop":
+                lines[i] = line.rpartition(",")[0]
+            elif kind == "swap":
+                k = data.draw(st.integers(1, len(lines) - 1), label="other")
+                lines[i], lines[k] = lines[k], lines[i]
+            elif kind == "duplicate":
+                lines.insert(data.draw(st.integers(1, len(lines)), label="to"), line)
+                ends.insert(i, eol)
+            else:
+                ends[i] = data.draw(st.sampled_from(["\r", "\r\n", "\n", ""]), label="end")
+        path = tmp_path_factory.mktemp("mut") / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("".join(line + end for line, end in zip(lines, ends)))
+        # small chunks put curve starts and blank records at chunk boundaries
+        chunk = data.draw(st.sampled_from([1, 2, 3, curves_module._CHUNK_ROWS]), label="chunk")
+        with mock.patch.object(curves_module, "_CHUNK_ROWS", chunk):
+            assert _outcome(path) == _record_pass_outcome(path)
+
+    @pytest.mark.parametrize(
+        "body, row, message",
+        [
+            (
+                "c0,a,0,1\nc0,a,1,1\nc1,a,0,1\nc1,a,1,1\nc0,a,0,1\nc0,a,1,1\n",
+                6,
+                "rows of curve 'c0' are not contiguous",
+            ),
+            ("c0,a,0,1\nc0,a,1,1\nc0,b,0,1\nc0,b,1,1\n", 4, "curve 'c0' listed under two groups ('a', 'b')"),
+        ],
+    )
+    def test_curves_split_into_whole_grids_are_refused(self, tmp_path, body, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("curve_id,group,t,c1\n" + body)
+        with pytest.raises(CsvFormatError) as exc:
+            read_groups_csv(path)
+        assert (exc.value.row, str(exc.value)) == (row, f"row {row}: {message}")
+
+    @pytest.mark.parametrize(
+        "body, c1",
+        [
+            ("c0,a,0.0,1_0\nc0,a,1.0,2.5\n", [10.0, 2.5]),
+            ("c0,a,0.0,1.0\n \nc0,a,1.0, 2.5 \n", [1.0, 2.5]),
+            ("c0,a,0.0,\u0661\rc0,a,1.0,2\r", [1.0, 2.0]),
+        ],
+    )
+    def test_record_pass_reads_what_loadtxt_refuses(self, tmp_path, body, c1):
+        path = tmp_path / "exotic.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("curve_id,group,t,c1\n" + body)
+        groups, _ = read_groups_csv(path)
+        assert groups["a"].values[0, :, 0].tolist() == c1
+        assert _outcome(path) == _record_pass_outcome(path)
+
+    def test_written_files_skip_the_record_pass(self, tmp_path):
+        rng = np.random.default_rng(5)
+        g = uniform_grid(7)
+        groups = [
+            FunctionalGroup.from_values(label, rng.normal(size=(n, 7, 2)), g)
+            for label, n in (("a", 3), ('b,"q"', 2), ("c\r\nd", 4))
+        ]
+        path = tmp_path / "data.csv"
+        write_groups_csv(groups, path)
+        with mock.patch.object(curves_module, "_record_rows", side_effect=AssertionError):
+            loaded, report = read_groups_csv(path)
+        assert list(loaded) == sorted(grp.label for grp in groups)
+        for grp in groups:
+            assert np.array_equal(loaded[grp.label].values.view(np.int64), grp.values.view(np.int64))
+        assert report["n_per_group"] == {"a": 3, 'b,"q"': 2, "c\r\nd": 4}
+
+    @pytest.mark.parametrize("blank", ["", "\n"])
+    def test_chunk_multiple_reads_without_warnings(self, tmp_path, blank):
+        m = 12  # curves cross chunk boundaries
+        n = 3 * curves_module._CHUNK_ROWS // m
+        lines = ["curve_id,group,t,c1"]
+        for i in range(n):
+            lines += [f"c{i},{'ab'[i % 2]},{j}.0,{i + j}.5" for j in range(m)]
+        path = tmp_path / "data.csv"
+        path.write_text(blank.join(line + "\n" for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(curves_module, "_record_rows", side_effect=AssertionError):
+                groups, report = read_groups_csv(path)
+        assert report["n_per_group"] == {"a": n // 2, "b": n // 2}
+        assert groups["b"].values[-1, -1, 0] == n - 1 + m - 1 + 0.5
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("curve_id,group,t,c1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="file contains no data rows"):
+                read_groups_csv(path)
