@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .classify import METHODS, ClassifierConfig, predict_batch, train
-from .curves import Curve, FunctionalGroup, derivative_augment, read_groups_csv
+from .curves import FunctionalGroup, derivative_augment, read_groups_csv
 from .outlyingness import ReferenceFrame, reference_frame, summarize_values
 from .simulate import DATASETS, GeneratorSpec, default_grid, derivative_dataset, generate
 from .seeding import derive_seed
@@ -143,7 +143,7 @@ def _replicate_groups(spec: ExperimentSpec, r: int, csv_groups) -> list[Function
 
 
 def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
-    """Training curves as a frame that all methods of a replicate share, and test curves."""
+    """Training curves as a frame that all methods of a replicate share, test curves as a group."""
     if group.n < n_train + n_test:
         raise ValueError(
             f"group {group.label!r} has {group.n} curves, need {n_train + n_test}"
@@ -151,8 +151,8 @@ def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
     perm = rng.permutation(group.n)
     train_idx, test_idx = perm[:n_train], perm[n_train : n_train + n_test]
     train_g = ReferenceFrame.from_values(group.label, group.values[train_idx], group.grid)
-    test_curves = [Curve(v, group.grid) for v in group.values[test_idx]]
-    return train_g, test_curves
+    test_g = FunctionalGroup.from_values(group.label, group.values[test_idx], group.grid)
+    return train_g, test_g
 
 
 def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
@@ -174,8 +174,8 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
                 rng_seed=derive_seed(spec.seed, r, _ROLE_TRAIN + i),
             )
             correct = total = 0
-            for g, test_curves in zip(train_groups, test_sets):
-                for pred in predict_batch(model, test_curves):
+            for g, test_g in zip(train_groups, test_sets):
+                for pred in predict_batch(model, test_g):
                     correct += pred.label == g.label
                     total += 1
         except Exception as exc:

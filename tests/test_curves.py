@@ -1,3 +1,4 @@
+import csv
 import warnings
 from unittest import mock
 
@@ -243,6 +244,9 @@ class TestCsv:
             ("c0,a,0.0,1.0\nc1,a,0.0,1.0\nc0,a,0.0,nan\n", 4, "non-finite value"),
             ("c0,a,0.0,1.0\nc0,b,0.0,nan\n", 3, "non-finite value"),
             ("c0,a,0.0,1.0\nc0,b,0.0,1.0\n", 3, "curve 'c0' listed under two groups ('a', 'b')"),
+            ("c0,a,1.0,1.0\nc1,a,0.0,1.0\nc0,a,0.0,1.0\n", 4, "rows of curve 'c0' are not contiguous"),
+            # a record after the first offending one is not looked at
+            ("c0,a,1.0,1.0\nc0,a,0.0,1.0\nc0,a,2.0\n", 3, "t values of curve 'c0' not increasing"),
         ],
     )
     def test_row_errors_report_first_offending_record(self, tmp_path, body, row, message):
@@ -252,6 +256,17 @@ class TestCsv:
             read_groups_csv(path)
         assert exc.value.row == row
         assert str(exc.value) == f"row {row}: {message}"
+
+    def test_offending_record_reported_before_a_later_overlong_field(self, tmp_path):
+        # csv.reader raises csv.Error only when it reaches the overlong field
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "curve_id,group,t,c1\nc0,a,1.0,1.0\nc0,a,0.0,1.0\n"
+            f"c0,a,2.0,{'1' * (csv.field_size_limit() + 1)}\n"
+        )
+        with pytest.raises(CsvFormatError) as exc:
+            read_groups_csv(path)
+        assert str(exc.value) == "row 3: t values of curve 'c0' not increasing"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -490,6 +505,24 @@ class TestCsvParsers:
         for grp in groups:
             assert np.array_equal(loaded[grp.label].values.view(np.int64), grp.values.view(np.int64))
         assert report["n_per_group"] == {"a": 3, 'b,"q"': 2, "c\r\nd": 4}
+
+    def test_record_pass_reads_files_of_many_chunks_alike(self, tmp_path):
+        rng = np.random.default_rng(6)
+        g = uniform_grid(9)
+        n = 3 * curves_module._CHUNK_ROWS // g.m + 5  # more than 3 chunks of rows
+        groups = [
+            FunctionalGroup.from_values(label, rng.normal(size=(n, g.m, 2)), g) for label in "ab"
+        ]
+        path = tmp_path / "data.csv"
+        write_groups_csv(groups, path)
+        loaded, report = read_groups_csv(path)
+        with mock.patch.object(curves_module, "_loadtxt_rows", lambda fh, p: None):
+            again, again_report = read_groups_csv(path)
+        assert again_report == report and report["n_per_group"] == {"a": n, "b": n}
+        for grp in groups:
+            assert np.array_equal(again[grp.label].values.view(np.int64), grp.values.view(np.int64))
+            assert np.array_equal(loaded[grp.label].values.view(np.int64), grp.values.view(np.int64))
+            assert np.array_equal(again[grp.label].grid.points.view(np.int64), g.points.view(np.int64))
 
     @pytest.mark.parametrize("blank", ["", "\n"])
     def test_chunk_multiple_reads_without_warnings(self, tmp_path, blank):
