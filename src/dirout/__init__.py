@@ -36,7 +36,6 @@ from .errors import (
 from .experiment import ExperimentResult, ExperimentSpec, emit_diagnostics, run_experiment
 from .outlyingness import (
     OutlyingnessSummary,
-    ReferenceFrame,
     check_transformation_invariance,
     pointwise_outlyingness,
     reference_frame,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curves import Curve, FunctionalGroup, Grid
-from .outlyingness import ReferenceFrame, reference_frame, squared_mahalanobis, summarize_values
+from .outlyingness import reference_frame, squared_mahalanobis, summarize_values
 from .pointwise import random_unit_directions
 from .robust import mcd_fit, rmd
 from .seeding import derive_seed
@@ -172,32 +172,29 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
     return TrainedModel(method, labels, groups, config, rng_seed, state)
 
 
-def _frames(groups, config, seed) -> tuple[ReferenceFrame, ...]:
-    """Each group's frame, with the moments and medians RMD and VOM read."""
-    frames = tuple(reference_frame(g) for g in groups)
-    for frame in frames:
-        frame.moments, frame.medians  # computed here, so cost and errors fall in train
-    return frames
+def _frames(groups, config, seed) -> tuple[FunctionalGroup, ...]:
+    """The groups, with the moments and medians RMD and VOM read computed now, in train."""
+    return tuple(map(reference_frame, groups))
 
 
 def _fm2_fit(groups, config, seed):
-    return tuple(reference_frame(g).moments for g in groups)
+    return tuple(g.moments for g in groups)
 
 
-def _features(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
+def _features(values: np.ndarray, frame: FunctionalGroup) -> np.ndarray:
     """(MO^T, VO) feature vectors for a batch of curves: (N, p+1)."""
     summaries = summarize_values(values, frame)
     return np.hstack([summaries.mo, summaries.vo[:, None]])
 
 
 def _rmd_fit(groups, config, seed):
-    """Each group's frame and the MCD fit of its (MO, VO) features."""
+    """The groups and the MCD fit of each group's (MO, VO) features."""
     frames = _frames(groups, config, seed)
     fits = []
-    for i, (g, frame) in enumerate(zip(groups, frames)):
+    for i, g in enumerate(frames):
         if g.n < g.p + 4:
             raise ValueError(f"group {g.label!r} has n={g.n}; RMD needs at least p+4={g.p + 4}")
-        feats = _features(g.values, frame)
+        feats = _features(g.values, g)
         fits.append(mcd_fit(feats, h=config.mcd_h, rng_seed=derive_seed(seed, 1, i)))
     return frames, tuple(fits)
 
@@ -315,7 +312,7 @@ class _Method(NamedTuple):
 
 
 # Each classifier, defined once. The state its fit returns:
-#   RMD: (frames, MCD fits); VOM: one frame per group; FM2: their moments;
+#   RMD: (groups, MCD fits); VOM: the groups; FM2: their moments;
 #   FM1: (directions (D, p), weights, sorted projections (m, D, n) per group);
 #   RP1: (directions (NR, m, p), weights, sorted projections (NR, n) per group);
 #   RP2: (directions, weights, projection (mean, variance) per group).

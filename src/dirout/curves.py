@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CsvFormatError
+from .pointwise import PointwiseMoments, geometric_medians_batch, pointwise_moments
 
 __all__ = [
     "Grid",
@@ -106,7 +107,8 @@ class Curve:
 @dataclass(frozen=True, eq=False, init=False)
 class FunctionalGroup:
     """A labeled collection of curves sharing one grid, held as one read-only
-    (n, m, p) array of values; ``curves`` are made from it on first use."""
+    (n, m, p) array of values; ``curves`` and the point-wise ``moments`` and
+    ``medians`` are computed from it on first use and kept."""
 
     label: str
     values: np.ndarray
@@ -167,6 +169,24 @@ class FunctionalGroup:
     def curves(self) -> tuple[Curve, ...]:
         """One ``Curve`` per row of ``values``."""
         return tuple(Curve(v, self.grid) for v in self.values)
+
+    @cached_property
+    def moments(self) -> PointwiseMoments:
+        """Point-wise means, ridged inverse covariances and integration weights."""
+        self._check_reference()
+        return pointwise_moments(self.values, self.grid.weights, self.label)
+
+    @cached_property
+    def medians(self) -> np.ndarray:
+        """Point-wise geometric medians, (m, p)."""
+        self._check_reference()
+        return geometric_medians_batch(self.values)
+
+    def _check_reference(self) -> None:
+        if self.n < self.p + 2:
+            raise ValueError(
+                f"reference group {self.label!r} needs at least p+2={self.p + 2} curves, has {self.n}"
+            )
 
 
 def integrate(values, grid: Grid) -> float:

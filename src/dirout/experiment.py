@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import METHODS, ClassifierConfig, predict_batch, train
 from .curves import FunctionalGroup, derivative_augment, read_groups_csv
-from .outlyingness import ReferenceFrame, reference_frame, summarize_values
+from .outlyingness import summarize_values
 from .simulate import DATASETS, GeneratorSpec, default_grid, derivative_dataset, generate
 from .seeding import derive_seed
 
@@ -143,14 +143,14 @@ def _replicate_groups(spec: ExperimentSpec, r: int, csv_groups) -> list[Function
 
 
 def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
-    """Training curves as a frame that all methods of a replicate share, test curves as a group."""
+    """Training and test curves as two groups; every method of a replicate shares the first."""
     if group.n < n_train + n_test:
         raise ValueError(
             f"group {group.label!r} has {group.n} curves, need {n_train + n_test}"
         )
     perm = rng.permutation(group.n)
     train_idx, test_idx = perm[:n_train], perm[n_train : n_train + n_test]
-    train_g = ReferenceFrame.from_values(group.label, group.values[train_idx], group.grid)
+    train_g = FunctionalGroup.from_values(group.label, group.values[train_idx], group.grid)
     test_g = FunctionalGroup.from_values(group.label, group.values[test_idx], group.grid)
     return train_g, test_g
 
@@ -223,7 +223,7 @@ def emit_diagnostics(group: FunctionalGroup, reference: FunctionalGroup, out_pat
         curve_ids = [f"{group.label}-{i:0{width}d}" for i in range(group.n)]
     elif len(curve_ids) != group.n:
         raise ValueError("curve_ids length must match the group size")
-    summaries = summarize_values(group.values, reference_frame(reference))
+    summaries = summarize_values(group.values, reference)
     header = ["curve_id"] + [f"MO_{k + 1}" for k in range(p)] + ["VO", "FO"]
     lines = [",".join(header)]
     for i, cid in enumerate(curve_ids):

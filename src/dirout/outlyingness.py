@@ -12,18 +12,14 @@ rescaling, an orthogonal map A0, shifts, and a time re-indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .curves import Curve, FunctionalGroup
-from .errors import SingularScatterError
-from .pointwise import geometric_medians_batch
+from .pointwise import PointwiseMoments
+from .pointwise import geometric_medians_batch  # unused here: perfbench/tracing.py wraps it by name
 
 __all__ = [
-    "ReferenceFrame",
-    "PointwiseMoments",
     "OutlyingnessSummary",
     "reference_frame",
     "pointwise_outlyingness",
@@ -33,73 +29,15 @@ __all__ = [
     "check_transformation_invariance",
 ]
 
-# Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
-# the diagonal, only where the eigenvalue ratio exceeds COND_LIMIT.
-RIDGE_EPS = 1e-10
-COND_LIMIT = 1e12
-
 # Below this distance from the point-wise median the direction is undefined
 # and the outlyingness vector is taken to be zero.
 ZERO_DIRECTION_TOL = 1e-12
 
 
-class PointwiseMoments(NamedTuple):
-    """Point-wise means and ridged inverse covariances of a reference group.
-    Where all its curves take one value, the inverse covariance (so every
-    outlyingness) is zero and ``weights`` renormalizes over the other points."""
-
-    means: np.ndarray  # (m, p)
-    inv_cov: np.ndarray  # (m, p, p)
-    weights: np.ndarray  # (m,), ``grid.weights`` itself when no point is flat
-
-
-class ReferenceFrame(FunctionalGroup):
-    """A ``FunctionalGroup`` that computes its point-wise statistics on first
-    use and keeps them: pass one frame to several calls to compute each once."""
-
-    @cached_property
-    def moments(self) -> PointwiseMoments:
-        n, p, values = self.n, self.p, self.values
-        means = values.mean(axis=0)
-        centered = values - means[None]
-        cov = np.einsum("nmi,nmj->mij", centered, centered) / (n - 1)
-        flat = (values == values[0]).all(axis=0).all(axis=1)
-        if flat.all():
-            raise SingularScatterError(f"group {self.label!r} has zero scatter at every grid point")
-        weights = self.grid.weights
-        if flat.any():
-            cov[flat] = np.eye(p)  # a placeholder; its inverse is zeroed below
-            weights = np.where(flat, 0.0, weights) / weights[~flat].sum()
-        traces = np.trace(cov, axis1=1, axis2=2)
-        eig = np.linalg.eigvalsh(cov)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
-        needs_ridge = cond > COND_LIMIT
-        if np.any(needs_ridge):
-            ridge = (RIDGE_EPS * traces / p)[:, None, None] * np.eye(p)[None]
-            cov = np.where(needs_ridge[:, None, None], cov + ridge, cov)
-        try:
-            inv_cov = np.linalg.inv(cov)
-        except np.linalg.LinAlgError:
-            raise SingularScatterError("point-wise covariance singular after ridge") from None
-        inv_cov[flat] = 0.0
-        return PointwiseMoments(means, inv_cov, weights)
-
-    @cached_property
-    def medians(self) -> np.ndarray:
-        """Point-wise geometric medians, (m, p)."""
-        return geometric_medians_batch(self.values)
-
-
-def reference_frame(group: FunctionalGroup) -> ReferenceFrame:
-    """``group`` itself if it is a frame, else a new frame of its values."""
-    if group.n < group.p + 2:
-        raise ValueError(
-            f"reference group {group.label!r} needs at least p+2={group.p + 2} curves, has {group.n}"
-        )
-    if isinstance(group, ReferenceFrame):
-        return group
-    return ReferenceFrame.from_values(group.label, group.values, group.grid)
+def reference_frame(group: FunctionalGroup) -> FunctionalGroup:
+    """``group``, with its moments and medians computed now, so their cost and errors fall here."""
+    group.moments, group.medians
+    return group
 
 
 def squared_mahalanobis(values: np.ndarray, moments: PointwiseMoments) -> np.ndarray:
@@ -110,10 +48,10 @@ def squared_mahalanobis(values: np.ndarray, moments: PointwiseMoments) -> np.nda
     return np.maximum(maha2, 0.0, out=maha2)
 
 
-def _outlyingness_values(values: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
+def _outlyingness_values(values: np.ndarray, reference: FunctionalGroup) -> np.ndarray:
     """Outlyingness vectors for a batch of curves: (N, m, p) -> (N, m, p)."""
-    maha2 = squared_mahalanobis(values, frame.moments)
-    dev = values - frame.medians[None]
+    maha2 = squared_mahalanobis(values, reference.moments)
+    dev = values - reference.medians[None]
     dist = np.linalg.norm(dev, axis=2)
     safe = np.maximum(dist, ZERO_DIRECTION_TOL)
     unit = dev / safe[:, :, None]
@@ -132,7 +70,7 @@ def _check_query(curve: Curve, reference: FunctionalGroup) -> np.ndarray:
 
 def pointwise_outlyingness(curve: Curve, reference: FunctionalGroup) -> np.ndarray:
     """Directional outlyingness of one curve at every grid point, as (m, p)."""
-    return _outlyingness_values(_check_query(curve, reference), reference_frame(reference))[0]
+    return _outlyingness_values(_check_query(curve, reference), reference)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +100,10 @@ class BatchSummaries:
         )
 
 
-def summarize_values(values: np.ndarray, frame: ReferenceFrame) -> BatchSummaries:
-    """Summaries for an (N, m, p) batch of curve values against one frame."""
-    w = frame.moments.weights
-    o = _outlyingness_values(values, frame)
+def summarize_values(values: np.ndarray, reference: FunctionalGroup) -> BatchSummaries:
+    """Summaries for an (N, m, p) batch of curve values against one group."""
+    w = reference.moments.weights
+    o = _outlyingness_values(values, reference)
     mo = np.einsum("m,nmi->ni", w, o)
     fo = np.einsum("m,nmi,nmi->n", w, o, o)
     dev = o - mo[:, None, :]
@@ -181,7 +119,7 @@ def summarize(curve: Curve, reference: FunctionalGroup) -> OutlyingnessSummary:
     The curve is never pooled into the reference: the group's empirical
     distribution alone defines the point-wise depths and medians.
     """
-    return summarize_values(_check_query(curve, reference), reference_frame(reference))[0]
+    return summarize_values(_check_query(curve, reference), reference)[0]
 
 
 def _apply_transform(
@@ -210,23 +148,23 @@ def check_transformation_invariance(
 
     Args:
         a0: orthogonal (p, p) matrix.
-        b: constant shift, default zero.
-        f: positive scale values at the grid points, default all ones.
-        g: permutation of grid indices, default identity.
+        b: finite constant shift, default zero.
+        f: positive, finite scale values at the grid points, default all ones.
+        g: integer permutation of grid indices, default identity.
     """
     p = curve.p
     m = curve.grid.m
     a0 = np.asarray(a0, dtype=float)
-    if a0.shape != (p, p) or np.max(np.abs(a0.T @ a0 - np.eye(p))) > 1e-10:
+    if a0.shape != (p, p) or not (np.max(np.abs(a0.T @ a0 - np.eye(p))) <= 1e-10):
         raise ValueError("a0 must be orthogonal (p x p)")
     b = np.zeros(p) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (p,):
-        raise ValueError(f"b must be a length-{p} vector")
+    if b.shape != (p,) or not np.isfinite(b).all():
+        raise ValueError(f"b must be a finite length-{p} vector")
     f = np.ones(m) if f is None else np.asarray(f, dtype=float)
-    if f.shape != (m,) or np.any(f <= 0.0):
-        raise ValueError("f must be positive at every grid point")
+    if f.shape != (m,) or not np.all((f > 0.0) & (f < np.inf)):
+        raise ValueError("f must be positive and finite at every grid point")
     perm = np.arange(m) if g is None else np.asarray(g)
-    if sorted(perm.tolist()) != list(range(m)):
+    if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(m)):
         raise ValueError("g must be a permutation of grid indices")
 
     vom = summarize(curve, reference).vom

@@ -1,15 +1,61 @@
 """Point-wise building blocks evaluated across the grid: random unit
-directions for random Tukey depth, and the geometric (spatial) medians that
-anchor the direction of outlyingness.
+directions for random Tukey depth, and the moments (for Mahalanobis depth) and
+geometric (spatial) medians that ``FunctionalGroup`` computes once per group.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, SingularScatterError
 
-__all__ = ["geometric_medians_batch", "random_unit_directions"]
+__all__ = ["PointwiseMoments", "pointwise_moments", "geometric_medians_batch", "random_unit_directions"]
+
+# Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
+# the diagonal, only where the eigenvalue ratio exceeds COND_LIMIT.
+RIDGE_EPS = 1e-10
+COND_LIMIT = 1e12
+
+
+class PointwiseMoments(NamedTuple):
+    """Point-wise means and ridged inverse covariances of a reference group.
+    Where all its curves take one value, the inverse covariance (so every
+    outlyingness) is zero and ``weights`` renormalizes over the other points."""
+
+    means: np.ndarray  # (m, p)
+    inv_cov: np.ndarray  # (m, p, p)
+    weights: np.ndarray  # (m,), the grid weights passed in when no point is flat
+
+
+def pointwise_moments(values: np.ndarray, weights: np.ndarray, label: str) -> PointwiseMoments:
+    """Moments of the (n, m, p) curve values of the group ``label`` whose
+    grid has integration weights ``weights``."""
+    n, _, p = values.shape
+    means = values.mean(axis=0)
+    centered = values - means[None]
+    cov = np.einsum("nmi,nmj->mij", centered, centered) / (n - 1)
+    flat = (values == values[0]).all(axis=0).all(axis=1)
+    if flat.all():
+        raise SingularScatterError(f"group {label!r} has zero scatter at every grid point")
+    if flat.any():
+        cov[flat] = np.eye(p)  # a placeholder; its inverse is zeroed below
+        weights = np.where(flat, 0.0, weights) / weights[~flat].sum()
+    traces = np.trace(cov, axis1=1, axis2=2)
+    eig = np.linalg.eigvalsh(cov)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+    needs_ridge = cond > COND_LIMIT
+    if np.any(needs_ridge):
+        ridge = (RIDGE_EPS * traces / p)[:, None, None] * np.eye(p)[None]
+        cov = np.where(needs_ridge[:, None, None], cov + ridge, cov)
+    try:
+        inv_cov = np.linalg.inv(cov)
+    except np.linalg.LinAlgError:
+        raise SingularScatterError("point-wise covariance singular after ridge") from None
+    inv_cov[flat] = 0.0
+    return PointwiseMoments(means, inv_cov, weights)
 
 
 def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:

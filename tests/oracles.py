@@ -14,7 +14,7 @@ fit bit for bit.
 import numpy as np
 
 from dirout.errors import ConvergenceError, DegenerateDataError, SingularScatterError
-from dirout.outlyingness import COND_LIMIT, RIDGE_EPS
+from dirout.pointwise import COND_LIMIT, RIDGE_EPS
 from dirout.robust import (
     DET_RTOL,
     MAX_FULL_STEPS,

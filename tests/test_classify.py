@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirout import outlyingness
+from dirout import curves
 from dirout.classify import (
     _METHODS,
     METHODS,
@@ -301,7 +301,7 @@ class TestFrameStatistics:
         def fail(values):
             raise ConvergenceError("no medians for FM2")
 
-        monkeypatch.setattr(outlyingness, "geometric_medians_batch", fail)
+        monkeypatch.setattr(curves, "geometric_medians_batch", fail)
         a, b = (FunctionalGroup(g.label, g.curves) for g in (a, b))
         for pred, want in zip(predict_batch(train([a, b], "FM2"), queries), expected):
             assert np.array_equal(pred.scores, want.scores)
@@ -316,7 +316,7 @@ class TestFrameStatistics:
         def fail(values):
             raise ConvergenceError("median failed")
 
-        monkeypatch.setattr(outlyingness, "geometric_medians_batch", fail)
+        monkeypatch.setattr(curves, "geometric_medians_batch", fail)
         assert len(predict_batch(model, queries)) == 8
         with pytest.raises(ConvergenceError):
             train([FunctionalGroup(g.label, g.curves) for g in (a, b)], method)
@@ -368,7 +368,8 @@ class TestPredictMaxdepth:
 
 
 class TestGroupOrder:
-    # RMD is left out: its MCD start seeds derive from the group index
+    # RMD is left out: its MCD start seeds derive from the group index, and
+    # deriving them from the label instead would move the stored digests
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("method", ["VOM", "FM1", "FM2", "RP1", "RP2"])
     def test_permuting_groups_permutes_scores(self, method, p):
@@ -409,8 +410,7 @@ class TestInvariances:
         assert tpred.label == pred.label
         assert np.allclose(tpred.scores, pred.scores, atol=1e-8)
 
-    @pytest.mark.parametrize("dataset", ["4", "6"])
-    def test_vom_decisions_invariant_under_the_transform_family(self, dataset):
+    def _decisions_under_the_transform_family(self, method, dataset):
         # x(t) -> f(t) A0 x(t) + b with A0 orthogonal and f > 0 moves every
         # point-wise median with the data, so each VOM matrix is conjugated by
         # A0 and its norm, the score, stays put up to the median's tolerance
@@ -429,8 +429,9 @@ class TestInvariances:
         moved = [
             FunctionalGroup.from_values(g.label, transform(g.values), grid) for g in train_groups
         ]
-        preds = predict_batch(train(train_groups, "VOM"), [Curve(v, grid) for v in tests])
-        moved_preds = predict_batch(train(moved, "VOM"), [Curve(transform(v), grid) for v in tests])
+        model, moved_model = train(train_groups, method), train(moved, method)
+        preds = predict_batch(model, [Curve(v, grid) for v in tests])
+        moved_preds = predict_batch(moved_model, [Curve(transform(v), grid) for v in tests])
         decided = 0
         for pred, moved_pred in zip(preds, moved_preds):
             np.testing.assert_allclose(moved_pred.scores, pred.scores, rtol=1e-6)
@@ -439,6 +440,18 @@ class TestInvariances:
                 assert moved_pred.label == pred.label
                 decided += 1
         assert decided >= 0.9 * len(tests)
+        return model, moved_model
+
+    @pytest.mark.parametrize("dataset", ["4", "6"])
+    def test_vom_decisions_invariant_under_the_transform_family(self, dataset):
+        self._decisions_under_the_transform_family("VOM", dataset)
+
+    @pytest.mark.parametrize("dataset", ["4", "6"])
+    def test_rmd_decisions_invariant_under_the_transform_family(self, dataset):
+        # MO is rotated by A0 and VO kept, so each group's MCD keeps its subset
+        model, moved_model = self._decisions_under_the_transform_family("RMD", dataset)
+        for fit, moved_fit in zip(model.state[1], moved_model.state[1]):
+            assert np.array_equal(moved_fit.subset, fit.subset)
 
     def test_fixed_seed_reproducibility(self):
         rng = np.random.default_rng(28)

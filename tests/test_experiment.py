@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirout import outlyingness
+from dirout import curves
 from dirout.classify import METHODS
 from dirout.curves import FunctionalGroup, Grid, write_groups_csv
 from dirout.experiment import (
@@ -92,13 +92,13 @@ class TestRunExperiment:
 class TestSharedFrames:
     def test_one_median_computation_per_training_group(self, monkeypatch):
         calls = []
-        original = outlyingness.geometric_medians_batch
+        original = curves.geometric_medians_batch
 
         def counting(values):
             calls.append(values.shape)
             return original(values)
 
-        monkeypatch.setattr(outlyingness, "geometric_medians_batch", counting)
+        monkeypatch.setattr(curves, "geometric_medians_batch", counting)
         spec = ExperimentSpec("4", METHODS, n_train=15, n_test=5, replicates=2, seed=3, m=12)
         run_experiment(spec)
         assert calls == [(15, 12, 2)] * 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirout import outlyingness
+from dirout import curves
 from dirout.curves import Curve, FunctionalGroup, Grid
 from dirout.errors import SingularScatterError
 from dirout.experiment import emit_diagnostics
@@ -201,60 +201,80 @@ class TestTransformationInvariance:
         rng = np.random.default_rng(12)
         ref = random_group(rng, p=2)
         curve = Curve(rng.normal(size=(10, 2)), ref.grid)
-        with pytest.raises(ValueError):
-            check_transformation_invariance(curve, ref, np.array([[2.0, 0.0], [0.0, 1.0]]))
+        for bad in (2.0, np.nan):
+            with pytest.raises(ValueError, match="a0 must be orthogonal"):
+                check_transformation_invariance(curve, ref, np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_rejects_nonpositive_scale(self):
         rng = np.random.default_rng(13)
         ref = random_group(rng, p=2)
         curve = Curve(rng.normal(size=(10, 2)), ref.grid)
-        f = np.ones(10)
-        f[3] = 0.0
-        with pytest.raises(ValueError):
-            check_transformation_invariance(curve, ref, np.eye(2), f=f)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            f = np.ones(10)
+            f[3] = bad
+            with pytest.raises(ValueError, match="f must be positive"):
+                check_transformation_invariance(curve, ref, np.eye(2), f=f)
+
+    def test_rejects_bad_shift_and_permutation(self):
+        rng = np.random.default_rng(13)
+        ref = random_group(rng, p=2)
+        curve = Curve(rng.normal(size=(10, 2)), ref.grid)
+        for b in ([0.0, np.inf], [np.nan, 0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="b must be"):
+                check_transformation_invariance(curve, ref, np.eye(2), b=b)
+        for g in (np.arange(10.0)[::-1], np.arange(9), np.zeros(10, dtype=int)):
+            with pytest.raises(ValueError, match="g must be a permutation"):
+                check_transformation_invariance(curve, ref, np.eye(2), g=g)
 
 
-class TestReferenceFrame:
+class TestGroupStatistics:
     def test_requires_enough_curves(self):
         g = uniform_grid(5)
         grp = FunctionalGroup.from_values("r", np.random.default_rng(14).normal(size=(3, 5, 2)), g)
-        with pytest.raises(ValueError):
-            reference_frame(grp)
+        curve = Curve(np.zeros((5, 2)), g)
+        for read in (
+            lambda: grp.moments,
+            lambda: grp.medians,
+            lambda: summarize(curve, grp),
+            lambda: reference_frame(grp),
+        ):
+            with pytest.raises(ValueError, match="needs at least p\\+2=4 curves, has 3"):
+                read()
 
-    def test_frame_of_a_frame_is_itself(self):
+    def test_reference_frame_is_the_group(self):
         grp = random_group(np.random.default_rng(15))
-        frame = reference_frame(grp)
-        assert isinstance(frame, FunctionalGroup) and frame is not grp
-        assert np.shares_memory(frame.values, grp.values)  # no copy of the curves
-        assert reference_frame(frame) is frame
+        assert reference_frame(grp) is grp
+        assert "moments" in vars(grp) and "medians" in vars(grp)
 
-    def test_each_frame_computes_its_medians_once(self, monkeypatch):
+    def test_each_group_computes_its_medians_once(self, monkeypatch, tmp_path):
         calls = []
 
         def counting(values):
             calls.append(values.shape)
             return geometric_medians_batch(values)
 
-        monkeypatch.setattr(outlyingness, "geometric_medians_batch", counting)
+        monkeypatch.setattr(curves, "geometric_medians_batch", counting)
         rng = np.random.default_rng(15)
         grp = random_group(rng)
         curve = Curve(rng.normal(size=(10, 2)), grp.grid)
-        frame = reference_frame(grp)
         for _ in range(2):
-            summarize(curve, frame)
-            pointwise_outlyingness(curve, frame)
-            summarize_values(grp.values, frame)
-        assert frame.medians is frame.medians
+            summarize(curve, grp)
+            pointwise_outlyingness(curve, grp)
+            summarize_values(grp.values, grp)
+            emit_diagnostics(grp, grp, tmp_path / "diag.csv")
+        assert grp.medians is grp.medians and grp.moments is grp.moments
         assert len(calls) == 1
-        # nothing is kept outside the frame: a new frame of the group computes anew
-        summarize(curve, grp)
+        # nothing is kept outside the group: a new group of the same values computes anew
+        again = FunctionalGroup.from_values(grp.label, grp.values, grp.grid)
+        summarize(curve, again)
         assert len(calls) == 2
+        assert np.array_equal(again.medians, grp.medians)
 
     def test_mismatch_raises_before_any_statistic(self, monkeypatch, tmp_path):
         def fail(values):
             raise AssertionError("geometric_medians_batch called")
 
-        monkeypatch.setattr(outlyingness, "geometric_medians_batch", fail)
+        monkeypatch.setattr(curves, "geometric_medians_batch", fail)
         rng = np.random.default_rng(17)
         ref = random_group(rng, m=10, p=2)
         other_grid = Curve(rng.normal(size=(11, 2)), uniform_grid(11))
