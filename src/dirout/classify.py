@@ -11,6 +11,7 @@ Mahalanobis). The query curve is never pooled into a reference group.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -45,6 +46,10 @@ class ClassifierConfig:
     mcd_h: int | None = None
 
     def __post_init__(self):
+        for name in ("n_projections", "tukey_n_dirs", "mcd_h"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) and not (name == "mcd_h" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n_projections", "tukey_n_dirs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -243,6 +243,8 @@ def write_groups_csv(groups, path) -> None:
     for g in groups:
         if g.p != p or not g.grid.same_points(grid):
             raise ValueError("all groups must share dimension and grid")
+    if len({g.label for g in groups}) != len(groups):
+        raise ValueError("group labels must be distinct")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["curve_id", "group", "t"] + [f"c{k + 1}" for k in range(p)])

@@ -5,7 +5,8 @@ minimal determinant (FAST-MCD: many elemental starts, concentration steps,
 full iteration of the best few) and rescales the subset covariance with the
 usual chi-square consistency factor so distances are comparable across fits.
 One stacked kernel takes the concentration steps of many subsets at once; the
-screening steps of all elemental starts run through it together.
+screening steps of all elemental starts run through it together. One
+generator draws the starts: each is the d + 1 smallest of one row of keys.
 
 The consistency factor needs the chi-square CDF and quantile at integer
 degrees of freedom only, which are computed here with the standard library:
@@ -17,6 +18,7 @@ quantile.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,18 +183,6 @@ class McdFit:
     n: int
 
 
-def _expand(points: np.ndarray, rng, subset: np.ndarray) -> np.ndarray | None:
-    """Grow a singular elemental start by random points until its covariance
-    is regular; None if it reaches the whole sample without."""
-    n = len(points)
-    while len(subset) < n:
-        extra = rng.choice(np.setdiff1d(np.arange(n), subset), size=1)
-        subset = np.concatenate([subset, extra])
-        if _subset_fits(points, subset[None])[2][0] > 0.0:
-            return subset
-    return None
-
-
 def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
     """Concentrate a subset until the determinant stops decreasing."""
     best = None
@@ -214,28 +204,26 @@ def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
 def _screen(points: np.ndarray, h: int, rng_seed: int):
     """Elemental starts concentrated by SCREEN_STEPS c-steps, all starts at once.
 
-    Each start draws from its own generator, so the draws do not depend on
-    how the c-steps are batched. Returns the (A, h) subsets of the A starts
-    that reached a regular covariance, in start order, and their determinants
-    (0.0 for an exact fit).
+    One generator draws an (N_STARTS, n) array of uniform keys; start i is
+    the d + 1 points with the smallest keys in row i. A start whose
+    covariance is singular adds the point of its row's next key, one point
+    at a time, and all starts still singular at one size step together.
+    Returns the (A, h) subsets of the A starts that reached a regular
+    covariance, in start order, and their determinants (0.0 for an exact fit).
     """
     n, d = points.shape
-    seqs = np.random.SeedSequence(rng_seed).spawn(N_STARTS)
-    rngs = [np.random.default_rng(seq) for seq in seqs]
-    starts = np.array([rng.choice(n, size=d + 1, replace=False) for rng in rngs])
-    stepped, _, _, det = _c_steps(points, starts, h)
-    started = det > 0.0
-    # a singular elemental draw grows one point at a time; grown starts step per size
-    grown = {}
-    for i in np.flatnonzero(~started):
-        subset = _expand(points, rngs[i], starts[i])
-        if subset is not None:
-            grown[i] = subset
-    for size in {len(subset) for subset in grown.values()}:
-        index = [i for i, subset in grown.items() if len(subset) == size]
-        stepped[index] = _c_steps(points, np.array([grown[i] for i in index]), h)[0]
-        started[index] = True
-    subsets = stepped[started]
+    keys = np.random.default_rng(rng_seed).random((N_STARTS, n))
+    subsets = np.full((N_STARTS, h), -1)
+    pending = np.arange(N_STARTS)
+    for size in range(d + 1, n + 1):
+        starts = np.argpartition(keys[pending], size - 1, axis=1)[:, :size]
+        stepped, _, _, det = _c_steps(points, starts, h)
+        regular = det > 0.0
+        subsets[pending[regular]] = stepped[regular]
+        pending = pending[~regular]
+        if not len(pending):
+            break
+    subsets = np.delete(subsets, pending, axis=0)
     dets = np.zeros(len(subsets))
     live = np.arange(len(subsets))
     for _ in range(SCREEN_STEPS):
@@ -252,13 +240,13 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
 
     Args:
         features: (n, d) data matrix.
-        h: subset size, d+1 <= h <= n; defaults to floor((n+d+1)/2).
-        rng_seed: seed for the elemental starts; fixed seed gives a fixed fit.
+        h: subset size, an integer d+1 <= h <= n; defaults to floor((n+d+1)/2).
+        rng_seed: seed of the generator of the elemental starts; fixed seed gives a fixed fit.
 
     Raises:
         DegenerateDataError: if every candidate subset covariance is singular
             (and no exact lower-dimensional fit can be reported).
-        ValueError: if h is out of range or n is too small.
+        ValueError: if h is not an integer in range or n is too small.
     """
     points = np.asarray(features, dtype=float)
     if points.ndim != 2:
@@ -268,6 +256,8 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         raise ValueError(f"need at least d+2={d + 2} points, got {n}")
     if h is None:
         h = default_h(n, d)
+    if not isinstance(h, numbers.Integral):
+        raise ValueError(f"h must be an integer, got {h!r}")
     if not d + 1 <= h <= n:
         raise ValueError(f"h must satisfy {d + 1} <= h <= {n}, got {h}")
 

@@ -6,9 +6,10 @@ Weiszfeld batch kernel (geometric_medians_batch, with its own vertex test)
 is the library's median kernel before it skipped repeated vertex tests and
 finished stalled columns with Newton steps: every median it returns, the
 library must return bit for bit. The looped FAST-MCD (mcd_fit, with its
-one-subset c_step) is the library's fit before the screening c-steps of all
-elemental starts ran as one stacked pass: the library must return its every
-fit bit for bit.
+one-subset c_step) takes one elemental start at a time: start i sorts row i
+of the same (N_STARTS, n) uniform keys in full, takes the d+1 smallest and
+grows by the next key while the covariance is singular. The library screens
+all starts in stacked passes and must return its every fit bit for bit.
 """
 
 import numpy as np
@@ -197,20 +198,17 @@ def c_step(points: np.ndarray, subset: np.ndarray, h: int):
     return new_subset, loc, cov, det
 
 
-def _elemental_subset(points: np.ndarray, rng, h: int) -> np.ndarray | None:
-    """Draw a (d+1)-point start and expand it until its covariance is regular."""
+def _elemental_subset(points: np.ndarray, keys: np.ndarray, h: int) -> np.ndarray | None:
+    """Take the d+1 points of smallest key, grow by the next key until the
+    covariance is regular, and take one c-step."""
     n, d = points.shape
-    size = min(d + 1, n)
-    subset = rng.choice(n, size=size, replace=False)
-    while True:
+    order = np.argsort(keys)
+    for size in range(d + 1, n + 1):
+        subset = order[:size]
         _, cov = _subset_stats(points, subset)
         if np.linalg.det(cov) > 0.0:
-            step = c_step(points, subset, h)[0]
-            return step
-        if len(subset) == n:
-            return None
-        extra = rng.choice(np.setdiff1d(np.arange(n), subset), size=1)
-        subset = np.concatenate([subset, extra])
+            return c_step(points, subset, h)[0]
+    return None
 
 
 def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
@@ -233,11 +231,10 @@ def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
 def screen(points: np.ndarray, h: int, rng_seed: int) -> list:
     """(determinant, subset) of each elemental start that reached a regular
     covariance, in start order, after SCREEN_STEPS c-steps (0.0 for an exact fit)."""
-    seeds = np.random.SeedSequence(rng_seed).spawn(N_STARTS)
+    keys = np.random.default_rng(rng_seed).random((N_STARTS, len(points)))
     candidates = []
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        subset = _elemental_subset(points, rng, h)
+    for row in keys:
+        subset = _elemental_subset(points, row, h)
         if subset is None:
             continue
         singular = False

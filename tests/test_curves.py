@@ -164,6 +164,15 @@ class TestCsv:
             assert np.array_equal(loaded[grp.label].values, grp.values)
             assert np.array_equal(loaded[grp.label].grid.points, g.points)
 
+    def test_write_rejects_repeated_labels(self, tmp_path):
+        # the curves of two groups named alike would share ids, which the reader rejects
+        vals = np.random.default_rng(5).normal(size=(3, 12, 1))
+        g = FunctionalGroup.from_values("a", vals, uniform_grid(12))
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="^group labels must be distinct$"):
+            write_groups_csv([g, g], path)
+        assert not path.exists()
+
     def test_malformed_row_names_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,16 @@ class TestRunExperiment:
     def test_json_round_trip(self):
         spec = ExperimentSpec("1c", ("VOM", "RMD"), n_train=10, n_test=10, replicates=2, seed=9)
         assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_projections", 5.0), ("tukey_n_dirs", 50.0), ("mcd_h", 20.0), ("mcd_h", "7")]
+    )
+    def test_json_config_rejects_non_integers(self, field, value):
+        spec = ExperimentSpec("1", ("RP1",), n_train=10, n_test=10, replicates=1)
+        payload = json.loads(spec.to_json())
+        payload["config"][field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ExperimentSpec.from_json(json.dumps(payload))
 
 
 class TestSharedFrames:

@@ -68,6 +68,13 @@ class TestMcdFit:
         with pytest.raises(ValueError):
             mcd_fit(pts, h=11)
 
+    @pytest.mark.parametrize("h", [6.0, "6", np.float64(6.0)])
+    def test_h_not_an_integer(self, h):
+        pts = np.random.default_rng(6).normal(size=(10, 2))
+        with pytest.raises(ValueError, match=f"^h must be an integer, got {re.escape(repr(h))}$"):
+            mcd_fit(pts, h=h)
+        mcd_fit(pts, h=np.int64(6))
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(30, 3))
@@ -224,6 +231,19 @@ class TestFitAgainstLoopedOracle:
         rng = np.random.default_rng(21)
         pts = np.vstack([np.repeat(rng.normal(size=(6, 3)), 6, axis=0), rng.normal(size=(4, 3))])
         assert_same_as_oracle(pts, seed=seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), decimals=st.integers(0, 1))
+    # n = 5, h = 4: 207 of the 500 starts are regular only as the whole sample
+    @example(seed=49, d=2, decimals=0)
+    def test_rounded_clouds_grow_singular_starts(self, seed, d, decimals):
+        # rounding makes duplicate and collinear points, so many starts are
+        # singular and grow, some to the whole sample
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(d + 2, 41))
+        pts = np.round(rng.normal(size=(n, d)), decimals)
+        h = int(rng.integers(d + 1, n + 1))
+        assert_same_as_oracle(pts, h, seed=int(rng.integers(2**32)))
 
     @pytest.mark.parametrize(
         "n, d, h", [(20, 2, 20), (12, 2, 3), (4, 2, None), (5, 3, None), (15, 1, None), (40, 4, 5)]
