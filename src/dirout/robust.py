@@ -5,7 +5,9 @@ minimal determinant (FAST-MCD: many elemental starts, concentration steps,
 full iteration of the best few) and rescales the subset covariance with the
 usual chi-square consistency factor so distances are comparable across fits.
 One stacked kernel takes the concentration steps of many subsets at once; the
-screening steps of all elemental starts run through it together. One
+screening steps of all elemental starts run through it together. A step keeps
+the h points closest under the subset's fit; among points tied in distance at
+the cut it keeps the lower indices, the choice of a stable sort. One
 generator draws the starts: each is the d + 1 smallest of one row of keys.
 
 The consistency factor needs the chi-square CDF and quantile at integer
@@ -128,21 +130,60 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     return loc, cov, np.linalg.det(cov)
 
 
+def _squared_distances(points: np.ndarray, loc: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of (n, d) points under S fits at once:
+    (S, d) locations and (S, d, d) inverse covariances -> (S, n).
+
+    The d^2 terms (diff_i * inv_ij) * diff_j are added in i-major order,
+    which gives the bits of ``einsum("sni,sij,snj->sn")`` and of the
+    one-subset ``einsum("ni,ij,nj->n")``, with one (S, n) buffer for the term.
+    """
+    diff = points.T[:, None, :] - loc.T[:, :, None]  # (d, S, n)
+    weights = inv.transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
+    d2 = diff[0] * weights[0, 0]
+    d2 *= diff[0]
+    term = np.empty_like(d2)
+    d = len(diff)
+    for k in range(1, d * d):
+        i, j = divmod(k, d)
+        np.multiply(diff[i], weights[i, j], out=term)
+        term *= diff[j]
+        d2 += term
+    return d2
+
+
+def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
+    """Sorted indices of the h smallest entries of each row of d2: (S, n) -> (S, h).
+
+    Of entries tied at the h-th smallest value the lower indices are kept,
+    and nan counts as larger than any number: the first h of a stable sort.
+    """
+    nearest = np.argpartition(d2, h - 1, axis=1)[:, :h]
+    kth = d2[np.arange(len(d2)), nearest[:, -1], None]
+    # argpartition keeps an arbitrary few of the entries tied with the h-th
+    # smallest; only such rows (and a nan h-th smallest) need the stable sort
+    tied = (d2 <= kth).sum(axis=1) != h
+    if tied.any():
+        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :h]
+    nearest.sort(axis=1)
+    return nearest
+
+
 def _c_steps(points: np.ndarray, subsets: np.ndarray, h: int):
     """Concentration steps of S index subsets of equal size at once.
 
     Returns (new_subsets, location, covariance, determinant), stacked over the
     subsets: (S, h), (S, d), (S, d, d), (S,). Each fit is the one induced by
     its incoming subset, and each new subset holds the sorted indices of the h
-    points closest under that fit. A row whose determinant is not positive is
-    an exact fit and takes no step; its new subset row is -1.
+    points closest under that fit; of points tied in distance at the cut the
+    lower indices are kept. A row whose determinant is not positive is an
+    exact fit and takes no step; its new subset row is -1.
     """
     loc, cov, det = _subset_fits(points, subsets)
     regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
-    diff = points[None] - loc[regular, None, :]
-    d2 = np.einsum("sni,sij,snj->sn", diff, np.linalg.inv(cov[regular]), diff)
+    d2 = _squared_distances(points, loc[regular], np.linalg.inv(cov[regular]))
     new_subsets = np.full((len(subsets), h), -1)
-    new_subsets[regular] = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
+    new_subsets[regular] = _nearest(d2, h)
     return new_subsets, loc, cov, det
 
 
@@ -244,13 +285,18 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         rng_seed: seed of the generator of the elemental starts; fixed seed gives a fixed fit.
 
     Raises:
-        DegenerateDataError: if every candidate subset covariance is singular
-            (and no exact lower-dimensional fit can be reported).
-        ValueError: if h is not an integer in range or n is too small.
+        DegenerateDataError: if the full-sample covariance is singular (then
+            so is every subset's, and no start is drawn), if no start reaches
+            a regular covariance (determinants that overflow), or if the best
+            subset is an exact fit to a lower-dimensional affine subspace.
+        ValueError: if features are not finite, h is not an integer in range
+            or n is too small.
     """
     points = np.asarray(features, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"features must be (n, d), got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("features must be finite")
     n, d = points.shape
     if n < d + 2:
         raise ValueError(f"need at least d+2={d + 2} points, got {n}")
@@ -261,10 +307,10 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     if not d + 1 <= h <= n:
         raise ValueError(f"h must satisfy {d + 1} <= h <= {n}, got {h}")
 
+    loc, cov, det = _subset_fits(points, np.arange(n)[None])
+    if det[0] <= 0.0:
+        raise DegenerateDataError("full-sample covariance is singular")
     if h == n:
-        loc, cov, det = _subset_fits(points, np.arange(n)[None])
-        if det[0] <= 0.0:
-            raise DegenerateDataError("full-sample covariance is singular")
         return McdFit(np.arange(n), loc[0], cov[0], float(det[0]), 1.0, h, n)
 
     subsets, dets = _screen(points, h, rng_seed)

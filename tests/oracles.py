@@ -258,13 +258,12 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     n, d = points.shape
     if h is None:
         h = default_h(n, d)
+    loc, cov = _subset_stats(points, np.arange(n))
+    det = float(np.linalg.det(cov))
+    if det <= 0.0:
+        raise DegenerateDataError("full-sample covariance is singular")
     if h == n:
-        subset = np.arange(n)
-        loc, cov = _subset_stats(points, subset)
-        det = float(np.linalg.det(cov))
-        if det <= 0.0:
-            raise DegenerateDataError("full-sample covariance is singular")
-        return McdFit(subset, loc, cov, det, 1.0, h, n)
+        return McdFit(np.arange(n), loc, cov, det, 1.0, h, n)
 
     candidates = screen(points, h, rng_seed)
     if not candidates:

@@ -1,16 +1,26 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
 
 import oracles
 from dirout.errors import DegenerateDataError
 from dirout.outlyingness import reference_frame, summarize_values
-from dirout.robust import _c_steps, _screen, c_step, consistency_factor, default_h, mcd_fit, rmd
+from dirout.robust import (
+    _c_steps,
+    _nearest,
+    _screen,
+    _squared_distances,
+    c_step,
+    consistency_factor,
+    default_h,
+    mcd_fit,
+    rmd,
+)
 from dirout.simulate import DATASETS, UNIVARIATE, GeneratorSpec, derivative_dataset, generate
 
 
@@ -74,6 +84,22 @@ class TestMcdFit:
         with pytest.raises(ValueError, match=f"^h must be an integer, got {re.escape(repr(h))}$"):
             mcd_fit(pts, h=h)
         mcd_fit(pts, h=np.int64(6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        pts = np.random.default_rng(6).normal(size=(40, 2))
+        pts[17, 1] = value
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            mcd_fit(pts)
+
+    def test_points_on_a_line_raise_at_once(self):
+        # the full-sample check raises before any start is drawn; growing
+        # every start to the whole sample took seconds at this size
+        x = np.random.default_rng(24).normal(size=1000)
+        started = time.perf_counter()
+        with pytest.raises(DegenerateDataError, match="^full-sample covariance is singular$"):
+            mcd_fit(np.column_stack([x, np.zeros_like(x)]))
+        assert time.perf_counter() - started < 0.5
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
@@ -179,6 +205,49 @@ class TestStackedCSteps:
             subsets, previous = new_subsets[regular], det[regular]
 
 
+class TestCStepParts:
+    """The c-step's distances and selection equal the einsum and the stable
+    sort they replace, bit for bit and index for index."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_squared_distances_equal_stacked_einsum(self, d):
+        rng = np.random.default_rng(d)
+        for n_fits, n in ((1, 5), (40, 100), (500, 37)):
+            pts = rng.standard_t(df=3, size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+            loc = rng.normal(size=(n_fits, d))
+            root = rng.normal(size=(n_fits, d, d))
+            inv = root @ root.transpose(0, 2, 1)
+            diff = pts[None] - loc[:, None, :]
+            want = np.einsum("sni,sij,snj->sn", diff, inv, diff)
+            assert np.array_equal(bits(_squared_distances(pts, loc, inv)), bits(want))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        h=st.integers(1, 45),
+        decimals=st.sampled_from([0, 1, None]),
+        specials=st.booleans(),
+    )
+    # h = 1 and h = n on rows rounded to whole numbers
+    @example(seed=1, n=30, h=1, decimals=0, specials=False)
+    @example(seed=2, n=30, h=30, decimals=0, specials=True)
+    def test_nearest_equals_stable_sort(self, seed, n, h, decimals, specials):
+        rng = np.random.default_rng(seed)
+        h = min(h, n)
+        d2 = rng.exponential(size=(12, n))
+        if decimals is not None:
+            d2 = np.round(d2, decimals)  # many entries tied at the cut
+        if specials:
+            # signed zeros, infinities and nans, and one row all nan
+            d2[rng.random(d2.shape) < 0.2] = -0.0
+            d2[rng.random(d2.shape) < 0.1] = np.inf
+            d2[rng.random(d2.shape) < 0.1] = np.nan
+            d2[rng.integers(len(d2))] = np.nan
+        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
+        assert np.array_equal(_nearest(d2, h), want)
+
+
 def assert_same_fit(fit, want):
     assert np.array_equal(fit.subset.view(np.int64), want.subset.view(np.int64))
     for name in ("location", "scatter", "determinant"):
@@ -258,12 +327,13 @@ class TestFitAgainstLoopedOracle:
         [
             (15, 0.0, "minimum-determinant subset"),
             (15, 2.0, "minimum-determinant subset"),
-            (20, 0.0, "all elemental starts were singular"),
+            (20, 0.0, "full-sample"),
         ],
     )
     def test_points_on_a_line_raise_alike(self, on_line, slope, message):
-        # at least h points on a line: an exact fit, or no regular start at all;
-        # off the axes, rounding leaves the line's determinants tiny and of either sign
+        # at least h points on a line: an exact fit, or all n of them and a
+        # singular full sample; off the axes, rounding leaves the line's
+        # determinants tiny and of either sign
         rng = np.random.default_rng(22)
         x = rng.normal(size=on_line)
         line = np.column_stack([x, slope * x + 1.0])
@@ -276,6 +346,7 @@ class TestConsistencyFactor:
         assert consistency_factor(50, 50, 3) == 1.0
 
     def test_inflates_half_sample(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
         c = consistency_factor(26, 50, 2)
         # direct recomputation from the chi-square definition
         frac = 26 / 50
@@ -285,6 +356,7 @@ class TestConsistencyFactor:
 
     @staticmethod
     def scipy_factors(hs, n, d):
+        chi2 = pytest.importorskip("scipy.stats").chi2
         frac = np.asarray(hs) / n
         return frac / chi2.cdf(chi2.ppf(frac, d), d + 2)
 
@@ -348,5 +420,6 @@ class TestRmd:
         pts = rng.normal(size=(500, 2))
         fit = mcd_fit(pts, rng_seed=20)
         d2 = rmd(pts, fit) ** 2
+        chi2 = pytest.importorskip("scipy.stats").chi2
         target = chi2.ppf(0.5, 2)
         assert 0.5 * target <= np.median(d2) <= 1.5 * target
