@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,12 +36,9 @@ class Grid:
 
     Args:
         points: strictly increasing time points, length >= 2.
-        measure: total length of the underlying interval; defaults to the
-            span of the points.
     """
 
     points: np.ndarray
-    measure: float = field(default=0.0)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -52,8 +49,6 @@ class Grid:
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        measure = self.measure if self.measure > 0 else float(pts[-1] - pts[0])
-        object.__setattr__(self, "measure", measure)
 
     @property
     def m(self) -> int:

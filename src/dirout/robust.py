@@ -4,8 +4,9 @@ The estimator searches for the h-point subset whose covariance matrix has
 minimal determinant (FAST-MCD: many elemental starts, concentration steps,
 full iteration of the best few) and rescales the subset covariance with the
 usual chi-square consistency factor so distances are comparable across fits.
-One stacked kernel takes the concentration steps of many subsets at once; the
-screening steps of all elemental starts run through it together. A step keeps
+One stacked kernel, `c_step`, takes the concentration steps of many subsets
+at once: the screening steps of all elemental starts run through it together,
+and so do the full iterations of the best few. A step keeps
 the h points closest under the subset's fit; among points tied in distance at
 the cut it keeps the lower indices, the choice of a stable sort. One
 generator draws the starts: each is the d + 1 smallest of one row of keys.
@@ -169,15 +170,17 @@ def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
     return nearest
 
 
-def _c_steps(points: np.ndarray, subsets: np.ndarray, h: int):
-    """Concentration steps of S index subsets of equal size at once.
+def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
+    """Concentration steps of S index subsets of equal size k at once: keep
+    the h points closest under each subset's fit.
 
     Returns (new_subsets, location, covariance, determinant), stacked over the
     subsets: (S, h), (S, d), (S, d, d), (S,). Each fit is the one induced by
-    its incoming subset, and each new subset holds the sorted indices of the h
-    points closest under that fit; of points tied in distance at the cut the
-    lower indices are kept. A row whose determinant is not positive is an
-    exact fit and takes no step; its new subset row is -1.
+    its incoming subset, and the determinant can only decrease along repeated
+    steps. Each new subset holds the sorted indices of the h points closest
+    under that fit; of points tied in distance at the cut the lower indices
+    are kept. A row whose determinant is not positive is an exact fit and
+    takes no step; its new subset row is -1.
     """
     loc, cov, det = _subset_fits(points, subsets)
     regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
@@ -185,19 +188,6 @@ def _c_steps(points: np.ndarray, subsets: np.ndarray, h: int):
     new_subsets = np.full((len(subsets), h), -1)
     new_subsets[regular] = _nearest(d2, h)
     return new_subsets, loc, cov, det
-
-
-def c_step(points: np.ndarray, subset: np.ndarray, h: int):
-    """One concentration step: keep the h points closest under the subset fit.
-
-    Returns (new_subset, location, covariance, determinant) where the fit is
-    the one induced by the incoming subset; the determinant can only decrease
-    along repeated applications. new_subset is None when the determinant is
-    not positive (an exact fit).
-    """
-    new_subsets, loc, cov, det = _c_steps(points, np.asarray(subset)[None], h)
-    det = float(det[0])
-    return (None if det <= 0.0 else new_subsets[0]), loc[0], cov[0], det
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,22 +214,34 @@ class McdFit:
     n: int
 
 
-def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
-    """Concentrate a subset until the determinant stops decreasing."""
-    best = None
+def _iterate(points: np.ndarray, subsets: np.ndarray, h: int, max_steps: int):
+    """Concentrate S subsets as one stack until each determinant stops decreasing.
+
+    A row retires, keeping its incoming subset and the fit that subset
+    induced, at an exact fit (determinant set to 0.0), at a fall of at most
+    DET_RTOL against its previous step, or when its subset does not change.
+    A row still live after max_steps takes the fit of its current subset.
+    Returns (S, h) subsets, (S, d) locations, (S, d, d) covariances and (S,)
+    determinants.
+    """
+    s, d = len(subsets), points.shape[1]
+    subsets = subsets.copy()
+    loc, cov, det = np.empty((s, d)), np.empty((s, d, d)), np.empty(s)
+    previous = np.full(s, np.nan)  # nan: the first step makes no comparison
+    live = np.arange(s)
     for _ in range(max_steps):
-        new_subset, loc, cov, det = c_step(points, subset, h)
-        if new_subset is None:
-            # exact fit: h points on a lower-dimensional affine subspace
-            return subset, loc, cov, 0.0
-        if best is not None and best - det <= DET_RTOL * best:
-            return subset, loc, cov, det
-        best = det
-        if np.array_equal(new_subset, subset):
-            return subset, loc, cov, det
-        subset = new_subset
-    loc, cov, det = _subset_fits(points, subset[None])
-    return subset, loc[0], cov[0], float(det[0])
+        new_subsets, loc[live], cov[live], step = c_step(points, subsets[live], h)
+        exact = step <= 0.0
+        det[live] = np.where(exact, 0.0, step)
+        done = exact | (previous[live] - step <= DET_RTOL * previous[live])
+        done |= (new_subsets == subsets[live]).all(axis=1)
+        previous[live] = step
+        subsets[live[~done]] = new_subsets[~done]
+        live = live[~done]
+        if not len(live):
+            return subsets, loc, cov, det
+    loc[live], cov[live], det[live] = _subset_fits(points, subsets[live])
+    return subsets, loc, cov, det
 
 
 def _screen(points: np.ndarray, h: int, rng_seed: int):
@@ -258,7 +260,7 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
     pending = np.arange(N_STARTS)
     for size in range(d + 1, n + 1):
         starts = np.argpartition(keys[pending], size - 1, axis=1)[:, :size]
-        stepped, _, _, det = _c_steps(points, starts, h)
+        stepped, _, _, det = c_step(points, starts, h)
         regular = det > 0.0
         subsets[pending[regular]] = stepped[regular]
         pending = pending[~regular]
@@ -268,7 +270,7 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
     dets = np.zeros(len(subsets))
     live = np.arange(len(subsets))
     for _ in range(SCREEN_STEPS):
-        new_subsets, _, _, det = _c_steps(points, subsets[live], h)
+        new_subsets, _, _, det = c_step(points, subsets[live], h)
         regular = ~(det <= 0.0)
         subsets[live[regular]] = new_subsets[regular]
         live = live[regular]
@@ -286,8 +288,8 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
 
     Raises:
         DegenerateDataError: if the full-sample covariance is singular (then
-            so is every subset's, and no start is drawn), if no start reaches
-            a regular covariance (determinants that overflow), or if the best
+            so is every subset's, and no start is drawn), if its determinant
+            is not finite (a covariance that overflows), or if the best
             subset is an exact fit to a lower-dimensional affine subspace.
         ValueError: if features are not finite, h is not an integer in range
             or n is too small.
@@ -310,24 +312,23 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     loc, cov, det = _subset_fits(points, np.arange(n)[None])
     if det[0] <= 0.0:
         raise DegenerateDataError("full-sample covariance is singular")
+    if not det[0] < np.inf:
+        raise DegenerateDataError("full-sample covariance determinant is not finite")
     if h == n:
         return McdFit(np.arange(n), loc[0], cov[0], float(det[0]), 1.0, h, n)
 
+    # every start reaches a regular covariance, as the whole sample at the latest
     subsets, dets = _screen(points, h, rng_seed)
-    if not len(subsets):
-        raise DegenerateDataError("all elemental starts were singular")
-
-    best = None
-    for i in np.argsort(dets, kind="stable")[:N_KEEP]:
-        subset, loc, cov, det = _iterate(points, subsets[i], h, MAX_FULL_STEPS)
-        if best is None or det < best[0]:
-            best = (det, subset, loc, cov)
-
-    det, subset, loc, cov = best
-    if det <= 0.0 or np.linalg.det(cov) <= 0.0:
+    keep = np.argsort(dets, kind="stable")[:N_KEEP]
+    subsets, locs, covs, dets = _iterate(points, subsets[keep], h, MAX_FULL_STEPS)
+    # the first of equal smallest determinants; a nan wins only in row 0,
+    # as it does under a loop's ``det < best``
+    best = 0 if np.isnan(dets[0]) else np.nanargmin(dets)
+    det = float(dets[best])
+    if det <= 0.0:
         raise DegenerateDataError("minimum-determinant subset covariance is singular")
     factor = consistency_factor(h, n, d)
-    return McdFit(np.sort(subset), loc, cov * factor, det, factor, h, n)
+    return McdFit(np.sort(subsets[best]), locs[best], covs[best] * factor, det, factor, h, n)
 
 
 def rmd(points: np.ndarray, fit: McdFit) -> np.ndarray:

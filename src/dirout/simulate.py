@@ -41,7 +41,7 @@ _EULER_GAMMA = 0.5772156649015328606
 
 def default_grid(m: int = 50) -> Grid:
     """The benchmark grid: m equidistant points i/m on (0, 1]."""
-    return Grid(np.arange(1, m + 1) / m, measure=1.0)
+    return Grid(np.arange(1, m + 1) / m)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ finished stalled columns with Newton steps: every median it returns, the
 library must return bit for bit. The looped FAST-MCD (mcd_fit, with its
 one-subset c_step) takes one elemental start at a time: start i sorts row i
 of the same (N_STARTS, n) uniform keys in full, takes the d+1 smallest and
-grows by the next key while the covariance is singular. The library screens
-all starts in stacked passes and must return its every fit bit for bit.
+grows by the next key while the covariance is singular, and it iterates the
+best N_KEEP candidates one at a time. The library screens all starts in
+stacked passes, iterates the best N_KEEP candidates as one stack, and must
+return its every fit bit for bit.
 """
 
 import numpy as np
@@ -262,6 +264,8 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     det = float(np.linalg.det(cov))
     if det <= 0.0:
         raise DegenerateDataError("full-sample covariance is singular")
+    if not det < np.inf:
+        raise DegenerateDataError("full-sample covariance determinant is not finite")
     if h == n:
         return McdFit(np.arange(n), loc, cov, det, 1.0, h, n)
 

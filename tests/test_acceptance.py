@@ -123,10 +123,11 @@ def test_criterion_03_mcd_matches_exhaustive_search():
         subset = np.sort(rng.choice(n, size=h, replace=False))
         prev = np.inf
         for _ in range(30):
-            new_subset, _, _, det = c_step(pts, subset, h)
+            new_subsets, _, _, dets = c_step(pts, subset[None], h)
+            new_subset, det = new_subsets[0], float(dets[0])
             monotone &= det <= prev + 1e-12 * max(1.0, abs(prev if np.isfinite(prev) else 1.0))
             prev = det
-            if new_subset is None or np.array_equal(new_subset, subset):
+            if det <= 0.0 or np.array_equal(new_subset, subset):
                 break
             subset = new_subset
     elapsed = time.perf_counter() - t0

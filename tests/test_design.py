@@ -70,6 +70,35 @@ def test_no_scipy_imports(path):
     assert not found, f"{path.name} imports scipy: {found}"
 
 
+def _module_level_names(tree):
+    """Names bound by the module's top-level defs, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_unused_private_names(path):
+    """Every module-level private function, class or constant is used again
+    in its own module: no leftover twin of a kernel and no dead helper."""
+    tree = ast.parse(path.read_text(), str(path))
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    unused = [
+        name
+        for name in _module_level_names(tree)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")) and name not in loaded
+    ]
+    assert not unused, f"{path.name} defines private names it never uses: {unused}"
+
+
 # runs ``python -m dirout ARGS`` with every import of scipy failing
 WITHOUT_SCIPY = """
 import runpy, sys

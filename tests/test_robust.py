@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dirout import robust
 from dirout.errors import DegenerateDataError
 from dirout.outlyingness import reference_frame, summarize_values
 from dirout.robust import (
-    _c_steps,
     _nearest,
     _screen,
     _squared_distances,
@@ -101,6 +101,18 @@ class TestMcdFit:
             mcd_fit(np.column_stack([x, np.zeros_like(x)]))
         assert time.perf_counter() - started < 0.5
 
+    @pytest.mark.parametrize("n, scale", [(30, 1e150), (100, 1e155), (300, 1e155)])
+    def test_overflowing_covariance_raises_at_once(self, n, scale):
+        # full-sample determinants inf, nan and nan: without the check these
+        # clouds gave an inf or nan fit, or grew every start to the whole
+        # sample and raised only after seconds
+        pts = np.random.default_rng(0).normal(size=(n, 2)) * scale
+        started = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateDataError, match="^full-sample covariance determinant is not finite$"):
+                mcd_fit(pts)
+        assert time.perf_counter() - started < 0.5
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(30, 3))
@@ -138,9 +150,10 @@ class TestCStep:
         subset = np.sort(rng.choice(30, size=17, replace=False))
         dets = []
         for _ in range(20):
-            new_subset, _, _, det = c_step(pts, subset, 17)
+            new_subsets, _, _, det = c_step(pts, subset[None], 17)
+            new_subset, det = new_subsets[0], det[0]
             dets.append(det)
-            if new_subset is None or np.array_equal(new_subset, subset):
+            if det <= 0.0 or np.array_equal(new_subset, subset):
                 break
             subset = new_subset
         assert all(a >= b - 1e-12 * abs(a) for a, b in zip(dets, dets[1:]))
@@ -176,11 +189,11 @@ class TestStackedCSteps:
         h = int(rng.integers(d + 1, n + 1))
         k = int(rng.integers(d + 1, n + 1))
         subsets = np.array([rng.choice(n, size=k, replace=False) for _ in range(n_subsets)])
-        stacked = _c_steps(pts, subsets, h)
+        stacked = c_step(pts, subsets, h)
         split = int(rng.integers(0, n_subsets + 1))
-        chunks = [_c_steps(pts, part, h) for part in (subsets[:split], subsets[split:])]
+        chunks = [c_step(pts, part, h) for part in (subsets[:split], subsets[split:])]
         for i, subset in enumerate(subsets):
-            one_row = [part[0] for part in _c_steps(pts, subset[None], h)]
+            one_row = [part[0] for part in c_step(pts, subset[None], h)]
             assert_same_step([part[i] for part in stacked], one_row)
         for part, chunked in zip(stacked, zip(*chunks)):
             assert_same_step([part], [np.concatenate(chunked)])
@@ -198,11 +211,68 @@ class TestStackedCSteps:
         subsets = np.array([rng.choice(n, size=h, replace=False) for _ in range(8)])
         previous = None
         for _ in range(6):
-            new_subsets, _, _, det = _c_steps(pts, subsets, h)
+            new_subsets, _, _, det = c_step(pts, subsets, h)
             if previous is not None:
                 assert np.all(det <= previous + 1e-12 * np.abs(previous))
             regular = ~(det <= 0.0)
             subsets, previous = new_subsets[regular], det[regular]
+
+
+class TestStackedIterate:
+    """Iterating a stack of candidates equals the looped oracle on each row
+    alone, bit for bit, and the fit takes the first of the smallest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        extra=st.integers(0, 30),
+        n_subsets=st.integers(1, 12),
+        decimals=st.sampled_from([0, 1, None]),
+        duplicated=st.booleans(),
+        max_steps=st.sampled_from([1, 2, robust.MAX_FULL_STEPS]),
+    )
+    # whole numbers drawn with repeats: tied determinants, and exact fits too
+    @example(seed=3, d=1, extra=10, n_subsets=12, decimals=0, duplicated=True, max_steps=100)
+    @example(seed=1, d=1, extra=6, n_subsets=12, decimals=0, duplicated=True, max_steps=100)
+    def test_rows_equal_looped_oracle(self, seed, d, extra, n_subsets, decimals, duplicated, max_steps):
+        rng = np.random.default_rng(seed)
+        n = d + 2 + extra
+        pts = rng.standard_t(df=3, size=(n, d))
+        if decimals is not None:
+            pts = np.round(pts, decimals)
+        if duplicated:
+            pts = pts[rng.integers(n, size=n)]
+        h = int(rng.integers(d + 1, n + 1))
+        subsets = np.sort([rng.choice(n, size=h, replace=False) for _ in range(n_subsets)], axis=1)
+        stacked = robust._iterate(pts, subsets, h, max_steps)
+        for i, subset in enumerate(subsets):
+            assert_same_step([part[i] for part in stacked], oracles._iterate(pts, subset, h, max_steps))
+
+    def test_rows_live_at_the_step_cap(self, monkeypatch):
+        # Cauchy points: 7 of the 10 best screened subsets still move in
+        # their first full step, so with one step allowed they take the cap
+        rng = np.random.default_rng(4)
+        pts = rng.standard_t(df=1, size=(200, 3))
+        h = default_h(200, 3)
+        subsets, dets = _screen(pts, h, 4)
+        kept = subsets[np.argsort(dets, kind="stable")[: robust.N_KEEP]]
+        assert (c_step(pts, kept, h)[0] != kept).any(axis=1).sum() == 7
+        monkeypatch.setattr(robust, "MAX_FULL_STEPS", 1)
+        monkeypatch.setattr(oracles, "MAX_FULL_STEPS", 1)
+        assert_same_as_oracle(pts, seed=4)
+
+    def test_first_of_equal_smallest_determinants(self):
+        # every 5 consecutive whole numbers have variance 2.0 exactly, so the
+        # 10 iterated candidates tie at distinct subsets
+        pts = np.arange(-6.0, 7.0)[:, None]
+        subsets, dets = _screen(pts, 5, 0)
+        kept = subsets[np.argsort(dets, kind="stable")[: robust.N_KEEP]]
+        subsets, _, _, dets = robust._iterate(pts, kept, 5, robust.MAX_FULL_STEPS)
+        assert np.all(dets == 2.0) and len(np.unique(subsets, axis=0)) > 1
+        fit = mcd_fit(pts, 5, 0)
+        assert np.array_equal(fit.subset, subsets[0])
+        assert_same_as_oracle(pts, 5, 0)
 
 
 class TestCStepParts:
