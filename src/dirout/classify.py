@@ -7,6 +7,8 @@ matrix ("VOM"). Four baselines assign to the group of maximal functional
 depth: integrated point-wise depth ("FM1" with random Tukey depth, "FM2"
 with Mahalanobis depth) and random-projection depth ("RP1" Tukey, "RP2"
 Mahalanobis). The query curve is never pooled into a reference group.
+The Tukey baselines FM1 and RP1 count through one exact merge kernel; FM1
+projects, sorts and counts one block of grid points at a time.
 """
 
 from __future__ import annotations
@@ -125,15 +127,10 @@ def _refs_at_or_below(sorted_ref: np.ndarray, sorted_q: np.ndarray) -> np.ndarra
     return position - np.arange(N)
 
 
-def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray, order=None):
-    """Exact halfspace counts (#{ref <= q}, #{ref >= q}) of (R, N) queries
-    against (R, n) ascending reference rows, row by row. ``order``, an argsort
-    of ``queries`` along axis 1, may be shared across references."""
-    if order is None:
-        order = np.argsort(queries, axis=1)
-    (R, n), N = sorted_ref.shape, queries.shape[1]
-    flat = order + N * np.arange(R)[:, None]
-    sorted_q = np.take(queries, flat)
+def _sorted_counts(sorted_ref: np.ndarray, sorted_q: np.ndarray):
+    """The counting kernel: (#{ref <= q}, #{ref >= q}) of ascending (R, N)
+    query rows against ascending (R, n) reference rows, in the queries' order."""
+    R, n = sorted_ref.shape
     le = _refs_at_or_below(sorted_ref, sorted_q)
     ge = n - le
     # #{ref < q} differs only where a reference equals q, the one just below
@@ -142,15 +139,49 @@ def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray, order=None):
     rows = np.flatnonzero((below == sorted_q).any(axis=1))
     if rows.size:
         ge[rows] = n - _refs_at_or_below(sorted_ref[rows], np.nextafter(sorted_q[rows], -np.inf))
-    counts = np.empty((2, R * N), dtype=le.dtype)
-    counts[0, flat], counts[1, flat] = le, ge
-    return counts.reshape(2, R, N)
+    return le, ge
+
+
+def _sort_queries(queries: np.ndarray):
+    """(R, N) query rows sorted row by row, and where each sorted entry came
+    from as a flat index into ``queries``."""
+    order = np.argsort(queries, axis=1)
+    flat = order + queries.shape[1] * np.arange(len(queries))[:, None]
+    return np.take(queries, flat), flat
+
+
+def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray):
+    """Exact halfspace counts (#{ref <= q}, #{ref >= q}) of (R, N) queries
+    against (R, n) ascending reference rows, row by row."""
+    sorted_q, flat = _sort_queries(queries)
+    counts = np.empty((2, queries.size), dtype=np.intp)
+    counts[:, flat] = _sorted_counts(sorted_ref, sorted_q)
+    return counts.reshape((2,) + queries.shape)
+
+
+def _tukey_counts(sorted_ref: np.ndarray, sorted_q: np.ndarray, flat: np.ndarray, out: np.ndarray):
+    """min(#{ref <= q}, #{ref >= q}) of sorted queries, put back at the
+    queries' own places (``flat`` from ``_sort_queries``) in the C-contiguous
+    ``out``."""
+    le, ge = _sorted_counts(sorted_ref, sorted_q)
+    out.reshape(-1)[flat] = np.minimum(le, ge, out=le)
+    return out
 
 
 def _fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Projections onto the Tukey directions, (N, m, p) -> (m, D, N), made the
-    same way for references and queries so that equal curves tie exactly."""
-    return np.einsum("nmk,dk->mdn", values, dirs, order="C")
+    same way for references and queries so that equal curves tie exactly.
+
+    The products of the even components are added in order, then those of
+    the odd ones onto +0.0, and the two sums last: the bits of
+    ``einsum("nmk,dk->mdn")``, which adds into a zeroed output.
+    """
+    comps = np.ascontiguousarray(values.transpose(2, 1, 0))[:, :, None, :]  # (p, m, 1, N)
+    weights = dirs.T[:, :, None]  # (p, D, 1)
+    sums = [comps[0] * weights[0], 0.0]
+    for k in range(1, len(comps)):
+        sums[k % 2] += comps[k] * weights[k]
+    return sums[0] + sums[1]
 
 
 def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed: int = 0) -> TrainedModel:
@@ -229,28 +260,41 @@ def _fm1_fit(groups, config, seed):
     return _fm1_state(groups, dirs)
 
 
+def _fm_blocks(m: int, n_dirs: int):
+    """Slices of grid points taken together, so that a block's arrays stay in
+    cache: one point for 500 directions, the whole grid for p = 1."""
+    step = max(1, 512 // n_dirs)
+    return [slice(t, t + step) for t in range(0, m, step)]
+
+
 def _fm1_state(groups, dirs: np.ndarray):
     """The directions, the grid weights, and each group's (m, D, n) sorted
-    projections onto the directions."""
-    sorted_proj = tuple(np.sort(_fm_project(g.values, dirs), axis=2) for g in groups)
+    projections onto the directions, projected and sorted block by block."""
+    m = groups[0].grid.m
+    sorted_proj = tuple(np.empty((m, len(dirs), g.n)) for g in groups)
+    for block in _fm_blocks(m, len(dirs)):
+        for g, proj in zip(groups, sorted_proj):
+            proj[block] = _fm_project(g.values[:, block], dirs)
+            proj[block].sort(axis=2)
     return dirs, groups[0].grid.weights, sorted_proj
 
 
 def _fm1_score(state, values: np.ndarray) -> np.ndarray:
-    """Integrated point-wise (random) Tukey depth; one query sort per block of
-    grid points serves every group."""
+    """Integrated point-wise (random) Tukey depth. Per block of grid points:
+    the queries are projected and sorted once for every group, and each
+    group's counts are scattered once and reduced over the directions."""
     dirs, w, sorted_refs = state
-    proj = _fm_project(values, dirs)
-    m, D, N = proj.shape
+    (N, m), D = values.shape[:2], len(dirs)
+    blocks = _fm_blocks(m, D)
     depths = [np.empty((N, m)) for _ in sorted_refs]
-    step = max(1, 512 // D)  # grid points per call: one for 500 directions, all for p = 1
-    for t in range(0, m, step):
-        queries = proj[t:t + step].reshape(-1, N)
-        order = np.argsort(queries, axis=1)
+    counts = np.empty((min(blocks[0].stop, m) * D, N), dtype=np.intp)
+    for block in blocks:
+        sorted_q, flat = _sort_queries(_fm_project(values[:, block], dirs).reshape(-1, N))
+        rows = counts[:len(sorted_q)]
         for depth, ref in zip(depths, sorted_refs):
             n = ref.shape[2]
-            counts = halfspace_counts(ref[t:t + step].reshape(-1, n), queries, order)
-            depth[:, t:t + step] = (counts.min(axis=0).reshape(-1, D, N).min(axis=1) / n).T
+            _tukey_counts(ref[block].reshape(-1, n), sorted_q, flat, rows)
+            depth[:, block] = (rows.reshape(-1, D, N).min(axis=1) / n).T
     return np.stack([(depth * w).sum(axis=1) for depth in depths], axis=1)
 
 
@@ -270,12 +314,12 @@ def _rp1_score(state, values: np.ndarray) -> np.ndarray:
     """Direction-wise univariate Tukey depths averaged over directions; the
     query sort is shared across groups."""
     dirs, w, sorted_refs = state
-    proj_x = _project(values, dirs, w).T
-    order = np.argsort(proj_x, axis=1)
+    sorted_q, flat = _sort_queries(_project(values, dirs, w).T)
+    counts = np.empty(sorted_q.shape, dtype=np.intp)
     # C order: each curve's depths are summed as one row, whatever the batch
     return np.stack(
         [
-            np.divide(halfspace_counts(ref, proj_x, order).min(axis=0).T, ref.shape[1], order="C")
+            np.divide(_tukey_counts(ref, sorted_q, flat, counts).T, ref.shape[1], order="C")
             .mean(axis=1)
             for ref in sorted_refs
         ],

@@ -11,11 +11,14 @@ of the same (N_STARTS, n) uniform keys in full, takes the d+1 smallest and
 grows by the next key while the covariance is singular, and it iterates the
 best N_KEEP candidates one at a time. The library screens all starts in
 stacked passes, iterates the best N_KEEP candidates as one stack, and must
-return its every fit bit for bit.
+return its every fit bit for bit. FM1 scores are counted here one grid point
+and one direction at a time, from the library's own projections; the
+einsum those projections replaced must give the same bits.
 """
 
 import numpy as np
 
+from dirout.classify import _fm_project
 from dirout.errors import ConvergenceError, DegenerateDataError, SingularScatterError
 from dirout.pointwise import COND_LIMIT, RIDGE_EPS
 from dirout.robust import (
@@ -285,3 +288,33 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         raise DegenerateDataError("minimum-determinant subset covariance is singular")
     factor = consistency_factor(h, n, d)
     return McdFit(np.sort(subset), loc, cov * factor, det, factor, h, n)
+
+
+def fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Projections of (N, m, p) curves onto (D, p) directions: (m, D, N)."""
+    return np.einsum("nmk,dk->mdn", values, dirs, order="C")
+
+
+def fm1_scores(references, queries: np.ndarray, dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """FM1 scores (N, K) of (N, m, p) queries against K (n, m, p) reference
+    arrays: at each grid point the least over directions of
+    min(#{ref <= q}, #{ref >= q}) / n, counted by brute force, integrated
+    row by row."""
+    proj_q = _fm_project(queries, dirs)
+    m, D, N = proj_q.shape
+    scores = np.empty((N, len(references)))
+    for g, ref in enumerate(references):
+        proj_ref = _fm_project(ref, dirs)
+        n = proj_ref.shape[2]
+        depth = np.empty((N, m))
+        for t in range(m):
+            counts = np.empty((D, N), dtype=int)
+            for d in range(D):
+                ref_td, q_td = proj_ref[t, d][None, :], proj_q[t, d][:, None]
+                counts[d] = np.minimum(
+                    np.count_nonzero(ref_td <= q_td, axis=1), np.count_nonzero(ref_td >= q_td, axis=1)
+                )
+            depth[:, t] = counts.min(axis=0) / n
+        for j in range(N):
+            scores[j, g] = (depth[j] * weights).sum()
+    return scores

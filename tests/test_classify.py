@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirout import curves
@@ -9,6 +11,7 @@ from dirout.classify import (
     METHODS,
     ClassifierConfig,
     _fm1_state,
+    _fm_project,
     halfspace_counts,
     predict,
     predict_batch,
@@ -25,7 +28,7 @@ from dirout.simulate import (
     derivative_dataset,
     generate,
 )
-from oracles import mahalanobis_depth
+from oracles import fm1_scores, fm_project, mahalanobis_depth
 
 
 def uniform_grid(m=10):
@@ -233,6 +236,70 @@ class TestHalfspaceCounts:
         batch = predict_batch(model, queries)
         for curve, pred in zip(queries, batch):
             assert np.array_equal(predict(model, curve).scores, pred.scores)
+
+
+class TestFm1Blocks:
+    """FM1 works one block of grid points at a time: its scores equal brute
+    counts bit for bit, its projections equal the einsum they replaced, and
+    no whole-grid projection of the queries is built."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([1, 2, 3]),
+        n=st.integers(2, 12),
+        decimals=st.sampled_from([0, 1, None]),
+    )
+    @example(seed=0, p=2, n=12, decimals=0)
+    def test_scores_equal_brute_force_counts(self, seed, p, n, decimals):
+        # 60 directions make blocks of 8 grid points, and 13 points leave a
+        # short last block
+        rng = np.random.default_rng(seed)
+        grid = uniform_grid(13)
+        values = rng.normal(size=(2, n, 13, p))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        groups = [FunctionalGroup.from_values(label, v, grid) for label, v in zip("ab", values)]
+        # reference curves, their one-ulp neighbours and fresh curves
+        picked = values.reshape(-1, 13, p)[rng.integers(2 * n, size=3)]
+        fresh = rng.normal(size=(3, 13, p))
+        queries = np.concatenate(
+            [picked, np.nextafter(picked, np.inf), np.nextafter(picked, -np.inf), fresh]
+        )
+        model = train(groups, "FM1", ClassifierConfig(tukey_n_dirs=60), rng_seed=seed)
+        dirs, w, _ = model.state
+        assert len(dirs) == (1 if p == 1 else 60)
+        scores = _METHODS["FM1"].score(model.state, queries)
+        assert scores.tobytes() == fm1_scores(values, queries, dirs, w).tobytes()
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("decimals", [None, 0, 1])
+    def test_projections_equal_einsum(self, p, decimals):
+        rng = np.random.default_rng(p)
+        values = rng.normal(size=(30, 7, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+        dirs = rng.normal(size=(60, p))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        if decimals is not None:
+            # rounding makes signed zeros and exact cancellations
+            values, dirs = np.round(values, decimals), np.round(dirs, decimals)
+        projected = _fm_project(values, dirs)
+        assert projected.shape == (7, 60, 30) and projected.flags.c_contiguous
+        assert projected.tobytes() == fm_project(values, dirs).tobytes()
+
+    def test_predict_memory_stays_below_a_quarter_of_one_projection(self):
+        # m = 50, D = 500, N = 200: one (m, D, N) float64 projection is 40 MB
+        grid = default_grid(50)
+        groups = [generate(GeneratorSpec("4", cls, 100, grid=grid, seed=cls)) for cls in (0, 1)]
+        queries = generate(GeneratorSpec("4", 0, 200, grid=grid, seed=2))
+        model = train(groups, "FM1", rng_seed=0)
+        assert len(model.state[0]) == 500
+        tracemalloc.start()
+        try:
+            predict_batch(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 500 * 200 * 8 / 4
 
 
 class TestBatchAgainstSinglePredictions:
