@@ -7,8 +7,9 @@ matrix ("VOM"). Four baselines assign to the group of maximal functional
 depth: integrated point-wise depth ("FM1" with random Tukey depth, "FM2"
 with Mahalanobis depth) and random-projection depth ("RP1" Tukey, "RP2"
 Mahalanobis). The query curve is never pooled into a reference group.
-The Tukey baselines FM1 and RP1 count through one exact merge kernel; FM1
-projects, sorts and counts one block of grid points at a time.
+The Tukey baselines FM1 and RP1 count through one exact merge kernel. FM1
+keeps only the groups' curves, and each score projects, sorts and counts
+the references beside the queries, one block of grid points at a time.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class Prediction:
 class TrainedModel:
     """Per-group reference data plus the method's frozen state.
 
-    Everything a prediction needs is computed at training time, by the
-    method's fit function in ``_METHODS``; the model is read-only afterwards
-    and safe to share across workers.
+    The method's fit function in ``_METHODS`` computes the state at training
+    time. FM1's state is only its directions and the groups' curves, so each
+    prediction call projects and sorts the references again. The model is
+    read-only afterwards and safe to share across workers.
     """
 
     method: str
@@ -254,10 +256,11 @@ def _fm2_score(moments, values: np.ndarray) -> np.ndarray:
 
 
 def _fm1_fit(groups, config, seed):
-    """(D, p) Tukey directions; for p = 1 the direction 1: exact halfspace depth."""
+    """(D, p) Tukey directions, the grid weights and each group's curves;
+    for p = 1 the direction 1: exact halfspace depth."""
     p, rng = groups[0].p, np.random.default_rng(derive_seed(seed, 3))
     dirs = np.ones((1, 1)) if p == 1 else random_unit_directions(config.tukey_n_dirs, p, rng)
-    return _fm1_state(groups, dirs)
+    return dirs, groups[0].grid.weights, tuple(g.values for g in groups)
 
 
 def _fm_blocks(m: int, n_dirs: int):
@@ -267,33 +270,24 @@ def _fm_blocks(m: int, n_dirs: int):
     return [slice(t, t + step) for t in range(0, m, step)]
 
 
-def _fm1_state(groups, dirs: np.ndarray):
-    """The directions, the grid weights, and each group's (m, D, n) sorted
-    projections onto the directions, projected and sorted block by block."""
-    m = groups[0].grid.m
-    sorted_proj = tuple(np.empty((m, len(dirs), g.n)) for g in groups)
-    for block in _fm_blocks(m, len(dirs)):
-        for g, proj in zip(groups, sorted_proj):
-            proj[block] = _fm_project(g.values[:, block], dirs)
-            proj[block].sort(axis=2)
-    return dirs, groups[0].grid.weights, sorted_proj
-
-
 def _fm1_score(state, values: np.ndarray) -> np.ndarray:
     """Integrated point-wise (random) Tukey depth. Per block of grid points:
-    the queries are projected and sorted once for every group, and each
-    group's counts are scattered once and reduced over the directions."""
-    dirs, w, sorted_refs = state
+    the queries are projected and sorted once for every group, each group's
+    curves are projected and sorted beside them, and each group's counts are
+    scattered once and reduced over the directions."""
+    dirs, w, refs = state
     (N, m), D = values.shape[:2], len(dirs)
     blocks = _fm_blocks(m, D)
-    depths = [np.empty((N, m)) for _ in sorted_refs]
+    depths = [np.empty((N, m)) for _ in refs]
     counts = np.empty((min(blocks[0].stop, m) * D, N), dtype=np.intp)
     for block in blocks:
         sorted_q, flat = _sort_queries(_fm_project(values[:, block], dirs).reshape(-1, N))
         rows = counts[:len(sorted_q)]
-        for depth, ref in zip(depths, sorted_refs):
-            n = ref.shape[2]
-            _tukey_counts(ref[block].reshape(-1, n), sorted_q, flat, rows)
+        for depth, ref in zip(depths, refs):
+            n = len(ref)
+            sorted_ref = _fm_project(ref[:, block], dirs).reshape(-1, n)
+            sorted_ref.sort(axis=1)
+            _tukey_counts(sorted_ref, sorted_q, flat, rows)
             depth[:, block] = (rows.reshape(-1, D, N).min(axis=1) / n).T
     return np.stack([(depth * w).sum(axis=1) for depth in depths], axis=1)
 
@@ -362,7 +356,7 @@ class _Method(NamedTuple):
 
 # Each classifier, defined once. The state its fit returns:
 #   RMD: (groups, MCD fits); VOM: the groups; FM2: their moments;
-#   FM1: (directions (D, p), weights, sorted projections (m, D, n) per group);
+#   FM1: (directions (D, p), weights, values (n, m, p) per group);
 #   RP1: (directions (NR, m, p), weights, sorted projections (NR, n) per group);
 #   RP2: (directions, weights, projection (mean, variance) per group).
 # Depths are integrated by row sums, not a matrix product, so that a curve's

@@ -9,7 +9,6 @@ per method as one rate per replicate.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -159,11 +158,14 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
     try:
         groups = _replicate_groups(spec, r, csv_groups)
         rng = np.random.default_rng(derive_seed(spec.seed, r, _ROLE_SPLIT))
-        train_groups, test_sets = [], []
+        train_groups, test_values = [], []
         for g in groups:
             tr, te = _split(g, spec.n_train, spec.n_test, rng)
             train_groups.append(tr)
-            test_sets.append(te)
+            test_values.append(te.values)
+        # every test curve in one batch, with its group's label as the truth
+        queries = FunctionalGroup.from_values("test", np.concatenate(test_values), groups[0].grid)
+        truth = np.repeat([g.label for g in groups], spec.n_test)
     except Exception as exc:
         raise RuntimeError(f"replicate {r}: {exc}") from exc
     rates = np.empty(len(spec.methods))
@@ -173,14 +175,10 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
                 train_groups, method, spec.config,
                 rng_seed=derive_seed(spec.seed, r, _ROLE_TRAIN + i),
             )
-            correct = total = 0
-            for g, test_g in zip(train_groups, test_sets):
-                for pred in predict_batch(model, test_g):
-                    correct += pred.label == g.label
-                    total += 1
+            labels = np.array([pred.label for pred in predict_batch(model, queries)])
         except Exception as exc:
             raise RuntimeError(f"replicate {r}, method {method}: {exc}") from exc
-        rates[i] = correct / total
+        rates[i] = np.count_nonzero(labels == truth) / truth.size
     return rates
 
 
@@ -199,6 +197,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     rep_seeds = tuple(derive_seed(spec.seed, r) for r in range(spec.replicates))
     rates = np.empty((len(spec.methods), spec.replicates))
     if workers > 1 and spec.replicates > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(spec, r, csv_groups) for r in range(spec.replicates)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, rep_rates in pool.map(_replicate_worker, jobs):

@@ -10,7 +10,6 @@ from dirout.classify import (
     _METHODS,
     METHODS,
     ClassifierConfig,
-    _fm1_state,
     _fm_project,
     halfspace_counts,
     predict,
@@ -220,7 +219,7 @@ class TestHalfspaceCounts:
                 for c, x in zip(grp.values[:, t, :].T, x0[t])
             )
             oracle += grp.grid.weights[t] * depth
-        depth = _METHODS["FM1"].score(_fm1_state([grp], dirs), x0[None])[0, 0]
+        depth = _METHODS["FM1"].score((dirs, grp.grid.weights, (grp.values,)), x0[None])[0, 0]
         assert depth == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -300,6 +299,22 @@ class TestFm1Blocks:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 500 * 200 * 8 / 4
+
+    def test_train_and_predict_keep_no_projections_of_the_references(self):
+        # n = 300 per group: sorted (m, D, n) projections of both groups
+        # would take 120 MB; the curves themselves take 0.5 MB
+        grid = default_grid(50)
+        groups = [generate(GeneratorSpec("4", cls, 300, grid=grid, seed=cls)) for cls in (0, 1)]
+        queries = generate(GeneratorSpec("4", 0, 200, grid=grid, seed=2))
+        tracemalloc.start()
+        try:
+            model = train(groups, "FM1", rng_seed=0)
+            predict_batch(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.state[0]) == 500
+        assert peak < 30 * 2**20
 
 
 class TestBatchAgainstSinglePredictions:

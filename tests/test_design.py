@@ -130,3 +130,14 @@ def test_cli_runs_rmd_without_scipy(tmp_path):
     dirout_cli("classify", "--train", "both.csv", "--test", "both.csv", "--method", "RMD",
                "--out", "pred.csv")
     assert len((tmp_path / "pred.csv").read_text().splitlines()) == 41
+
+
+def test_import_starts_no_process_pool():
+    """``concurrent.futures`` is imported only when replicates run in parallel."""
+    src = str(Path(dirout.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dirout, dirout.cli; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dirout import curves
+from dirout import curves, experiment
 from dirout.classify import METHODS
 from dirout.curves import FunctionalGroup, Grid, write_groups_csv
 from dirout.experiment import (
@@ -75,6 +75,19 @@ class TestRunExperiment:
         seq = run_experiment(spec, workers=1)
         par = run_experiment(spec, workers=2)
         assert np.array_equal(seq.rates, par.rates)
+
+    def test_one_predict_call_per_method_and_replicate(self, monkeypatch):
+        calls = []
+        original = experiment.predict_batch
+
+        def counting(model, queries):
+            calls.append((model.method, queries.n))
+            return original(model, queries)
+
+        monkeypatch.setattr(experiment, "predict_batch", counting)
+        spec = ExperimentSpec("4", METHODS, n_train=15, n_test=5, replicates=2, seed=3, m=12)
+        run_experiment(spec)
+        assert calls == [(method, 10) for method in METHODS] * 2
 
     def test_method_failure_names_replicate(self, tmp_path):
         rng = np.random.default_rng(7)
