@@ -7,13 +7,20 @@ matrix ("VOM"). Four baselines assign to the group of maximal functional
 depth: integrated point-wise depth ("FM1" with random Tukey depth, "FM2"
 with Mahalanobis depth) and random-projection depth ("RP1" Tukey, "RP2"
 Mahalanobis). The query curve is never pooled into a reference group.
-The Tukey baselines FM1 and RP1 count through one exact merge kernel. FM1
-keeps only the groups' curves, and each score projects, sorts and counts
-the references beside the queries, one block of grid points at a time.
+The Tukey baselines FM1 and RP1 count through two exact kernels: a merge of
+sorted rows, and a pair search for single (row, value) pairs. FM1 keeps only
+the groups' curves, and each score projects and sorts the references beside
+the queries, one block of grid points at a time. Only FM1's minimum over
+directions is used, so the merge counts just the first isqrt(D) directions,
+whose least count c bounds each query's count from above. In a later
+direction, with A the sorted reference row, a query v with A[c-1] <= v <=
+A[n-c] has at least c references on each side, so only the pairs outside
+that interval are counted, by the pair search; the minimum is exact.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -51,7 +58,9 @@ class ClassifierConfig:
     def __post_init__(self):
         for name in ("n_projections", "tukey_n_dirs", "mcd_h"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) and not (name == "mcd_h" and value is None):
+            if value is None and name == "mcd_h":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n_projections", "tukey_n_dirs"):
             if getattr(self, name) < 1:
@@ -74,8 +83,10 @@ class TrainedModel:
 
     The method's fit function in ``_METHODS`` computes the state at training
     time. FM1's state is only its directions and the groups' curves, so each
-    prediction call projects and sorts the references again. The model is
-    read-only afterwards and safe to share across workers.
+    prediction call projects and sorts the references again; it counts the
+    first isqrt(D) directions exactly, and of the others only the pairs that
+    can fall below that bound, so its depths are the exact minima. The model
+    is read-only afterwards and safe to share across workers.
     """
 
     method: str
@@ -120,27 +131,40 @@ def _project(values: np.ndarray, dirs: np.ndarray, weights: np.ndarray) -> np.nd
     return np.einsum("dmk,m,nmk->nd", dirs, weights, values)
 
 
-def _refs_at_or_below(sorted_ref: np.ndarray, sorted_q: np.ndarray) -> np.ndarray:
-    """#{ref <= q} per sorted query: a stable merge of each row puts tied
-    references first, and the query of rank i lands at #{ref <= q} + i."""
-    (R, n), N = sorted_ref.shape, sorted_q.shape[1]
-    merged = np.argsort(np.concatenate([sorted_ref, sorted_q], axis=1), axis=1, kind="stable")
-    position = np.flatnonzero(merged >= n).reshape(R, N) - (n + N) * np.arange(R)[:, None]
-    return position - np.arange(N)
+def _pair_counts(sorted_ref: np.ndarray, rows: np.ndarray, values: np.ndarray):
+    """The pair search: (#{ref <= v}, #{ref < v}) of each value v against its
+    own ascending reference row ``rows`` of ``sorted_ref``, one branch-free
+    binary search over all the pairs at once."""
+    n = sorted_ref.shape[1]
+    flat = sorted_ref.reshape(-1)
+    # #{ref < v} is #{ref <= the float just below v}, so one search gives both
+    v = np.concatenate([values, np.nextafter(values, -np.inf)])
+    start = np.concatenate([rows, rows]) * n
+    # each row's count lies in [pos, pos + size]; each step halves the range
+    pos, size = start.copy(), n
+    while size > 1:
+        half = size // 2
+        pos += half * (np.take(flat, pos + half) <= v)
+        size -= half
+    count = pos - start + (np.take(flat, pos) <= v)
+    return count[:len(values)], count[len(values):]
 
 
 def _sorted_counts(sorted_ref: np.ndarray, sorted_q: np.ndarray):
-    """The counting kernel: (#{ref <= q}, #{ref >= q}) of ascending (R, N)
-    query rows against ascending (R, n) reference rows, in the queries' order."""
-    R, n = sorted_ref.shape
-    le = _refs_at_or_below(sorted_ref, sorted_q)
+    """The merge: (#{ref <= q}, #{ref >= q}) of ascending (R, N) query rows
+    against ascending (R, n) reference rows, in the queries' order. A stable
+    merge of each row puts tied references first, and the query of rank i
+    lands at #{ref <= q} + i."""
+    (R, n), N = sorted_ref.shape, sorted_q.shape[1]
+    merged = np.argsort(np.concatenate([sorted_ref, sorted_q], axis=1), axis=1, kind="stable")
+    le = np.flatnonzero(merged >= n).reshape(R, N) - (n + N) * np.arange(R)[:, None] - np.arange(N)
     ge = n - le
     # #{ref < q} differs only where a reference equals q, the one just below
-    # it in the merge; there it is #{ref <= the float just below q}
+    # it in the merge; those pairs take the pair search
     below = np.take(sorted_ref, np.maximum(le - 1, 0) + n * np.arange(R)[:, None])
-    rows = np.flatnonzero((below == sorted_q).any(axis=1))
-    if rows.size:
-        ge[rows] = n - _refs_at_or_below(sorted_ref[rows], np.nextafter(sorted_q[rows], -np.inf))
+    tied = np.flatnonzero(below == sorted_q)
+    if tied.size:
+        ge.flat[tied] = n - _pair_counts(sorted_ref, tied // N, sorted_q.flat[tied])[1]
     return le, ge
 
 
@@ -170,20 +194,28 @@ def _tukey_counts(sorted_ref: np.ndarray, sorted_q: np.ndarray, flat: np.ndarray
     return out
 
 
-def _fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+def _fm_project(values: np.ndarray, dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Projections onto the Tukey directions, (N, m, p) -> (m, D, N), made the
-    same way for references and queries so that equal curves tie exactly.
+    same way for references and queries so that equal curves tie exactly;
+    written into ``out`` when one is given.
 
     The products of the even components are added in order, then those of
-    the odd ones onto +0.0, and the two sums last: the bits of
-    ``einsum("nmk,dk->mdn")``, which adds into a zeroed output.
+    the odd ones, the two sums, and +0.0 last: the bits of
+    ``einsum("nmk,dk->mdn")``, which adds into a zeroed output. A sum that
+    starts from +0.0 differs from one that does not only by reading +0.0
+    for -0.0, so one +0.0 at the end is the same.
     """
     comps = np.ascontiguousarray(values.transpose(2, 1, 0))[:, :, None, :]  # (p, m, 1, N)
     weights = dirs.T[:, :, None]  # (p, D, 1)
-    sums = [comps[0] * weights[0], 0.0]
-    for k in range(1, len(comps)):
-        sums[k % 2] += comps[k] * weights[k]
-    return sums[0] + sums[1]
+    even = np.multiply(comps[0], weights[0], out=out)
+    if len(comps) > 1:
+        odd = comps[1] * weights[1]
+        for k in range(2, len(comps)):
+            sums = (even, odd)[k % 2]
+            sums += comps[k] * weights[k]
+        even += odd
+    even += 0.0
+    return even
 
 
 def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed: int = 0) -> TrainedModel:
@@ -271,25 +303,62 @@ def _fm_blocks(m: int, n_dirs: int):
 
 
 def _fm1_score(state, values: np.ndarray) -> np.ndarray:
-    """Integrated point-wise (random) Tukey depth. Per block of grid points:
-    the queries are projected and sorted once for every group, each group's
-    curves are projected and sorted beside them, and each group's counts are
-    scattered once and reduced over the directions."""
+    """Integrated point-wise (random) Tukey depth. Per block of grid points
+    the queries' projections are sorted once for every group, on the head
+    directions only, and each group's curves are projected and sorted beside
+    them. The merge counts the head exactly, and its least count per query
+    bounds that query's depth count from above; ``_lower_by_tail`` then
+    counts only the pairs of the remaining directions that can go below it."""
     dirs, w, refs = state
     (N, m), D = values.shape[:2], len(dirs)
-    blocks = _fm_blocks(m, D)
+    head, blocks = math.isqrt(D), _fm_blocks(m, D)
+    step = min(blocks[0].stop, m)
     depths = [np.empty((N, m)) for _ in refs]
-    counts = np.empty((min(blocks[0].stop, m) * D, N), dtype=np.intp)
+    q_buffer = np.empty((step, D, N))
+    ref_buffers = [np.empty((step, D, len(ref))) for ref in refs]
+    counts = np.empty((step * head, N), dtype=np.intp)
+    tail = (np.empty((D - head, N)), np.empty((D - head, N), dtype=bool),
+            np.empty((D - head, N), dtype=bool), np.empty(N, dtype=np.intp))
     for block in blocks:
-        sorted_q, flat = _sort_queries(_fm_project(values[:, block], dirs).reshape(-1, N))
+        size = min(block.stop, m) - block.start
+        proj_q = _fm_project(values[:, block], dirs, q_buffer[:size])
+        sorted_q, flat = _sort_queries(proj_q[:, :head].reshape(-1, N))
         rows = counts[:len(sorted_q)]
-        for depth, ref in zip(depths, refs):
+        for depth, ref, buffer in zip(depths, refs, ref_buffers):
             n = len(ref)
-            sorted_ref = _fm_project(ref[:, block], dirs).reshape(-1, n)
-            sorted_ref.sort(axis=1)
-            _tukey_counts(sorted_ref, sorted_q, flat, rows)
-            depth[:, block] = (rows.reshape(-1, D, N).min(axis=1) / n).T
+            sorted_ref = _fm_project(ref[:, block], dirs, buffer[:size])
+            sorted_ref.sort(axis=2)
+            _tukey_counts(sorted_ref[:, :head].reshape(-1, n), sorted_q, flat, rows)
+            least = rows.reshape(size, head, N).min(axis=1)
+            if head < D:
+                for t in range(size):
+                    _lower_by_tail(sorted_ref[t, head:], proj_q[t, head:], least[t], tail)
+            depth[:, block] = (least / n).T
     return np.stack([(depth * w).sum(axis=1) for depth in depths], axis=1)
+
+
+def _lower_by_tail(sorted_ref: np.ndarray, queries: np.ndarray, least: np.ndarray, buffers):
+    """Lower ``least``, each query's count so far, to its minimum over the
+    directions of the (T, n) ascending reference rows and (T, N) query rows.
+
+    With c = least and A a sorted row, a query v with A[c-1] <= v has
+    #{A <= v} >= c, and one with v <= A[n-c] has #{A >= v} >= c; so only a
+    pair with v < A[c-1] or v > A[n-c] can go below c, and only those pairs
+    are counted, by the pair search. A query at c = 0 is skipped.
+    """
+    bound, low, high, index = buffers
+    n = sorted_ref.shape[1]
+    np.take(sorted_ref, np.subtract(least, 1, out=index), axis=1, out=bound, mode="clip")
+    np.less(queries, bound, out=low)
+    np.take(sorted_ref, np.subtract(n, least, out=index), axis=1, out=bound, mode="clip")
+    np.greater(queries, bound, out=high)
+    np.logical_or(low, high, out=low)
+    np.logical_and(low, least > 0, out=low)
+    pairs = np.flatnonzero(low)
+    if pairs.size:
+        d, j = np.divmod(pairs, len(least))
+        le, lt = _pair_counts(sorted_ref, d, queries.reshape(-1)[pairs])
+        np.minimum.at(least, j, np.minimum(le, n - lt))
 
 
 def _rp_projections(groups, config, seed):

@@ -304,7 +304,7 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         raise ValueError(f"need at least d+2={d + 2} points, got {n}")
     if h is None:
         h = default_h(n, d)
-    if not isinstance(h, numbers.Integral):
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
         raise ValueError(f"h must be an integer, got {h!r}")
     if not d + 1 <= h <= n:
         raise ValueError(f"h must satisfy {d + 1} <= h <= {n}, got {h}")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirout import curves
+from dirout import classify, curves
 from dirout.classify import (
     _METHODS,
     METHODS,
@@ -50,6 +51,13 @@ class TestTrain:
     @pytest.mark.parametrize("value", [0, -1])
     def test_config_rejects_counts_below_one(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+            ClassifierConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_projections", "tukey_n_dirs", "mcd_h"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_rejects_booleans(self, field, value):
+        # a bool is an Integral: True would silently draw one direction
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             ClassifierConfig(**{field: value})
 
     def test_identical_groups_tie_to_first_label(self):
@@ -315,6 +323,92 @@ class TestFm1Blocks:
             tracemalloc.stop()
         assert len(model.state[0]) == 500
         assert peak < 30 * 2**20
+
+
+class TestFm1Pruning:
+    """FM1 counts the first isqrt(D) directions, the head, with the merge;
+    of the other directions it counts only the pairs that can go below the
+    head's least count, with the pair search. The scores stay the brute
+    counts bit for bit, and the dense merge is not run on the tail."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_dirs=st.sampled_from([1, 2, 4, 5, 60, 500]),
+        p=st.integers(1, 3),
+        n=st.integers(2, 9),
+        m=st.integers(2, 5),
+        decimals=st.sampled_from([None, 0, 1]),
+        identical=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_dirs=500, p=2, n=2, m=3, decimals=0, identical=False, seed=0)
+    @example(n_dirs=60, p=2, n=2, m=4, decimals=None, identical=True, seed=1)
+    @example(n_dirs=1, p=2, n=5, m=2, decimals=1, identical=False, seed=2)
+    def test_scores_equal_the_oracle(self, n_dirs, p, n, m, decimals, identical, seed):
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(size=(n_dirs, p))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        refs = [rng.normal(size=(n, m, p)), rng.normal(size=(n + 3, m, p)) + 0.5]
+        if decimals is not None:
+            refs = [np.round(r, decimals) for r in refs]
+        if identical:
+            # every count against this group is 0 or n
+            refs[0] = np.repeat(refs[0][:1], n, axis=0)
+        pool = np.concatenate(refs)
+        picked = pool[rng.integers(len(pool), size=3)]
+        # far along the first direction, which is in the head: its count is
+        # 0 there, so the query is outside the hull before the tail starts
+        outside = picked[:1] + 1e3 * dirs[0]
+        queries = np.concatenate([
+            pool, np.nextafter(picked, np.inf), np.nextafter(picked, -np.inf),
+            outside, rng.normal(size=(2, m, p)),
+        ])
+        w = uniform_grid(m).weights
+        scores = _METHODS["FM1"].score((dirs, w, tuple(refs)), queries)
+        assert scores.tobytes() == fm1_scores(refs, queries, dirs, w).tobytes()
+        assert (scores[len(pool) + 6] == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 130), decimals=st.sampled_from([None, 0]), seed=st.integers(0, 2**32 - 1))
+    def test_pair_search_equals_brute_counts(self, n, decimals, seed):
+        rng = np.random.default_rng(seed)
+        ref = rng.normal(size=(3, n))
+        if decimals is not None:
+            ref = np.round(ref, decimals)
+        ref.sort(axis=1)
+        rows = rng.integers(3, size=30)
+        on = ref[rows, rng.integers(n, size=30)]
+        values = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+                                 3.0 * rng.normal(size=30)])
+        rows = np.tile(rows, 4)
+        le, lt = classify._pair_counts(ref, rows, values)
+        assert np.array_equal(le, (ref[rows] <= values[:, None]).sum(axis=1))
+        assert np.array_equal(lt, (ref[rows] < values[:, None]).sum(axis=1))
+
+    def test_benchmark_shape_merges_the_head_and_searches_few_pairs(self, monkeypatch):
+        # dataset 4, n = 100 per group, N = 200, m = 50, D = 500
+        grid = default_grid(50)
+        groups = [generate(GeneratorSpec("4", cls, 100, grid=grid, seed=cls)) for cls in (0, 1)]
+        queries = generate(GeneratorSpec("4", 0, 200, grid=grid, seed=2))
+        model = train(groups, "FM1", rng_seed=0)
+        n_dirs = len(model.state[0])
+        merged, searched = [], []
+        merge, search = classify._sorted_counts, classify._pair_counts
+
+        def spy_merge(sorted_ref, sorted_q):
+            merged.append(len(sorted_ref))
+            return merge(sorted_ref, sorted_q)
+
+        def spy_search(sorted_ref, rows, values):
+            searched.append(len(values))
+            return search(sorted_ref, rows, values)
+
+        monkeypatch.setattr(classify, "_sorted_counts", spy_merge)
+        monkeypatch.setattr(classify, "_pair_counts", spy_search)
+        predict_batch(model, queries)
+        # one merge per grid point and group, on the head rows alone
+        assert n_dirs == 500 and merged == [math.isqrt(n_dirs)] * (50 * 2)
+        assert 0 < sum(searched) < 0.05 * 50 * 2 * n_dirs * 200
 
 
 class TestBatchAgainstSinglePredictions:

@@ -104,7 +104,9 @@ class TestRunExperiment:
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
     @pytest.mark.parametrize(
-        "field, value", [("n_projections", 5.0), ("tukey_n_dirs", 50.0), ("mcd_h", 20.0), ("mcd_h", "7")]
+        "field, value",
+        [("n_projections", 5.0), ("tukey_n_dirs", 50.0), ("mcd_h", 20.0), ("mcd_h", "7"),
+         ("tukey_n_dirs", True), ("mcd_h", True)],
     )
     def test_json_config_rejects_non_integers(self, field, value):
         spec = ExperimentSpec("1", ("RP1",), n_train=10, n_test=10, replicates=1)

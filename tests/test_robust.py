@@ -78,7 +78,7 @@ class TestMcdFit:
         with pytest.raises(ValueError):
             mcd_fit(pts, h=11)
 
-    @pytest.mark.parametrize("h", [6.0, "6", np.float64(6.0)])
+    @pytest.mark.parametrize("h", [6.0, "6", np.float64(6.0), True])
     def test_h_not_an_integer(self, h):
         pts = np.random.default_rng(6).normal(size=(10, 2))
         with pytest.raises(ValueError, match=f"^h must be an integer, got {re.escape(repr(h))}$"):
