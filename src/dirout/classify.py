@@ -147,6 +147,7 @@ def _pair_counts(sorted_ref: np.ndarray, rows: np.ndarray, values: np.ndarray):
         pos += half * (np.take(flat, pos + half) <= v)
         size -= half
     count = pos - start + (np.take(flat, pos) <= v)
+    count[len(values):][values == -np.inf] = 0  # the float below -inf is -inf itself
     return count[:len(values)], count[len(values):]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, FunctionalGroup
-from .pointwise import PointwiseMoments
+from .pointwise import PointwiseMoments, quadratic_forms
 from .pointwise import geometric_medians_batch  # unused here: perfbench/tracing.py wraps it by name
 
 __all__ = [
@@ -43,8 +43,8 @@ def reference_frame(group: FunctionalGroup) -> FunctionalGroup:
 def squared_mahalanobis(values: np.ndarray, moments: PointwiseMoments) -> np.ndarray:
     """Point-wise squared Mahalanobis distances of a batch of curves to the
     means, clipped at zero: (N, m, p) -> (N, m)."""
-    diff = values - moments.means[None]
-    maha2 = np.einsum("nmi,mij,nmj->nm", diff, moments.inv_cov, diff)
+    diff = (values - moments.means[None]).transpose(2, 0, 1)
+    maha2 = quadratic_forms(diff, moments.inv_cov.transpose(1, 2, 0))
     return np.maximum(maha2, 0.0, out=maha2)
 
 

@@ -1,6 +1,6 @@
-"""Point-wise building blocks evaluated across the grid: random unit
-directions for random Tukey depth, and the moments (for Mahalanobis depth) and
-geometric (spatial) medians that ``FunctionalGroup`` computes once per group.
+"""Point-wise building blocks across the grid: random unit directions for
+random Tukey depth, the moments and geometric medians that ``FunctionalGroup``
+computes once per group, and the kernel of every squared Mahalanobis distance.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularScatterError
 
-__all__ = ["PointwiseMoments", "pointwise_moments", "geometric_medians_batch", "random_unit_directions"]
+__all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "geometric_medians_batch",
+           "random_unit_directions"]
 
 # Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
 # the diagonal, only where the eigenvalue ratio exceeds COND_LIMIT.
@@ -56,6 +57,28 @@ def pointwise_moments(values: np.ndarray, weights: np.ndarray, label: str) -> Po
         raise SingularScatterError("point-wise covariance singular after ridge") from None
     inv_cov[flat] = 0.0
     return PointwiseMoments(means, inv_cov, weights)
+
+
+def quadratic_forms(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Quadratic forms sum_ij diff[i] * inv[i, j] * diff[j] of (d, ...)
+    differences under (d, d, ...) matrices that broadcast against ``diff[0]``.
+
+    The d^2 terms (diff_i * inv_ij) * diff_j are added in i-major order, with
+    one buffer for the term. That gives the bits of the einsums
+    ``"sni,sij,snj->sn"``, ``"ni,ij,nj->n"`` and ``"nmi,mij,nmj->nm"``, which
+    add into a zeroed output: they differ only where every term is -0.0,
+    which needs a negative or -0.0 inv_00.
+    """
+    d = len(diff)
+    total = diff[0] * inv[0, 0]
+    total *= diff[0]
+    term = np.empty_like(total)
+    for k in range(1, d * d):
+        i, j = divmod(k, d)
+        np.multiply(diff[i], inv[i, j], out=term)
+        term *= diff[j]
+        total += term
+    return total
 
 
 def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:

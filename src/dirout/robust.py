@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
+from .pointwise import quadratic_forms
 
 __all__ = ["McdFit", "mcd_fit", "rmd", "default_h", "c_step", "consistency_factor"]
 
@@ -131,28 +132,6 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     return loc, cov, np.linalg.det(cov)
 
 
-def _squared_distances(points: np.ndarray, loc: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of (n, d) points under S fits at once:
-    (S, d) locations and (S, d, d) inverse covariances -> (S, n).
-
-    The d^2 terms (diff_i * inv_ij) * diff_j are added in i-major order,
-    which gives the bits of ``einsum("sni,sij,snj->sn")`` and of the
-    one-subset ``einsum("ni,ij,nj->n")``, with one (S, n) buffer for the term.
-    """
-    diff = points.T[:, None, :] - loc.T[:, :, None]  # (d, S, n)
-    weights = inv.transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
-    d2 = diff[0] * weights[0, 0]
-    d2 *= diff[0]
-    term = np.empty_like(d2)
-    d = len(diff)
-    for k in range(1, d * d):
-        i, j = divmod(k, d)
-        np.multiply(diff[i], weights[i, j], out=term)
-        term *= diff[j]
-        d2 += term
-    return d2
-
-
 def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
     """Sorted indices of the h smallest entries of each row of d2: (S, n) -> (S, h).
 
@@ -184,7 +163,9 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     """
     loc, cov, det = _subset_fits(points, subsets)
     regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
-    d2 = _squared_distances(points, loc[regular], np.linalg.inv(cov[regular]))
+    inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
+    # the (d, S, n) differences are a temporary, freed before the selection
+    d2 = quadratic_forms(points.T[:, None, :] - loc[regular].T[:, :, None], inv)
     new_subsets = np.full((len(subsets), h), -1)
     new_subsets[regular] = _nearest(d2, h)
     return new_subsets, loc, cov, det
@@ -335,10 +316,8 @@ def rmd(points: np.ndarray, fit: McdFit) -> np.ndarray:
     """Robust Mahalanobis distances of (N, d) points under an MCD fit's
     location and scatter: (N,).
 
-    Each row is reduced on its own, by elementwise products and axis sums,
-    so a point's distance does not depend on the other points in the call.
+    Each row is reduced on its own by ``quadratic_forms``, so a point's
+    distance does not depend on the other points in the call.
     """
-    diff = points - fit.location
-    inv = np.linalg.inv(fit.scatter)
-    d2 = ((diff[:, :, None] * inv[None]).sum(axis=1) * diff).sum(axis=1)
+    d2 = quadratic_forms((points - fit.location).T, np.linalg.inv(fit.scatter))
     return np.sqrt(np.maximum(d2, 0.0))

@@ -290,7 +290,7 @@ def _univariate_mean(spec: GeneratorSpec, t: np.ndarray, rng) -> np.ndarray:
     sin2 = np.sin(2 * np.pi * t)
     cos2 = np.cos(2 * np.pi * t)
     ds, cls = spec.dataset, spec.class_label
-    if ds == "1":
+    if ds == "1" or (ds == "1c" and cls == 1):  # dataset 1c's class 1 is dataset 1's
         low, high = (0.5, 1.0) if cls == 0 else (1.0, 1.2)
         u1 = rng.uniform(low, high, n)
         u2 = rng.uniform(low, high, n)
@@ -306,12 +306,8 @@ def _univariate_mean(spec: GeneratorSpec, t: np.ndarray, rng) -> np.ndarray:
             return u[:, None] * sin2
         u = rng.uniform(-1.0, 1.0, n)
         return np.tile(u[:, None], (1, t.size))
-    # dataset 1c: class 0 draws its sine coefficient from the class-1 law
-    # with probability 0.1; class 1 is identical to dataset 1 class 1
-    if cls == 1:
-        u1 = rng.uniform(1.0, 1.2, n)
-        u2 = rng.uniform(1.0, 1.2, n)
-        return u1[:, None] * sin2 + u2[:, None] * cos2
+    # dataset 1c, class 0: the sine coefficient follows the class-1 law with
+    # probability 0.1
     u01 = rng.uniform(0.5, 1.0, n)
     u02 = rng.uniform(0.5, 1.0, n)
     u11 = rng.uniform(1.0, 1.2, n)

@@ -185,7 +185,7 @@ def count_problems(draw):
     """Sorted reference rows and queries that sit on, one ulp beside, or away
     from reference values."""
     R, n, N = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    values = st.one_of(quantized, finite)
+    values = st.one_of(quantized, finite, st.sampled_from([-np.inf, np.inf]))
     ref = np.sort(np.array(draw(st.lists(values, min_size=R * n, max_size=R * n))).reshape(R, n))
     queries = np.empty((R, N))
     for r in range(R):
@@ -369,18 +369,21 @@ class TestFm1Pruning:
         assert (scores[len(pool) + 6] == 0.0).all()
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 130), decimals=st.sampled_from([None, 0]), seed=st.integers(0, 2**32 - 1))
-    def test_pair_search_equals_brute_counts(self, n, decimals, seed):
+    @given(n=st.integers(1, 130), decimals=st.sampled_from([None, 0]), infs=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pair_search_equals_brute_counts(self, n, decimals, infs, seed):
         rng = np.random.default_rng(seed)
         ref = rng.normal(size=(3, n))
         if decimals is not None:
             ref = np.round(ref, decimals)
+        if infs:
+            ref = np.where(rng.random((3, n)) < 0.2, rng.choice([-np.inf, np.inf], (3, n)), ref)
         ref.sort(axis=1)
         rows = rng.integers(3, size=30)
         on = ref[rows, rng.integers(n, size=30)]
         values = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
-                                 3.0 * rng.normal(size=30)])
-        rows = np.tile(rows, 4)
+                                 3.0 * rng.normal(size=30), rng.choice([-np.inf, np.inf], 30)])
+        rows = np.tile(rows, 5)
         le, lt = classify._pair_counts(ref, rows, values)
         assert np.array_equal(le, (ref[rows] <= values[:, None]).sum(axis=1))
         assert np.array_equal(lt, (ref[rows] < values[:, None]).sum(axis=1))

@@ -7,8 +7,8 @@ from dirout import pointwise
 from dirout.classify import ClassifierConfig, predict, predict_batch, train
 from dirout.curves import Curve, FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
-from dirout.outlyingness import reference_frame
-from dirout.pointwise import geometric_medians_batch
+from dirout.outlyingness import reference_frame, squared_mahalanobis
+from dirout.pointwise import geometric_medians_batch, pointwise_moments, quadratic_forms
 from dirout.simulate import GeneratorSpec, derivative_dataset, generate
 import oracles
 from oracles import geometric_median
@@ -201,6 +201,38 @@ class TestGeometricMediansBatch:
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestQuadraticForms:
+    """``squared_mahalanobis``, the point-wise layout of the shared kernel,
+    keeps the bits of the einsum it replaced."""
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_pointwise_layout_equals_einsum_bits(self, p):
+        rng = np.random.default_rng(p)
+        m = 9
+        ref = rng.normal(size=(3 * p + 4, m, p))
+        ref[:, 2] = 1.5  # flat grid points: their inverse covariances are 0
+        ref[:, 6] = 0.0
+        for values in (ref, np.round(ref, 1)):
+            moments = pointwise_moments(values, grid(m).weights, "g")
+            assert not moments.inv_cov[[2, 6]].any() and moments.inv_cov.any()
+            moments = moments._replace(means=np.where(rng.random((m, p)) < 0.3, 0.0, moments.means))
+            queries = rng.normal(size=(8, m, p))
+            zeros = rng.choice([0.0, -0.0], size=(4, m, p))
+            queries = np.concatenate([
+                queries, np.round(queries, 0), zeros,
+                np.broadcast_to(moments.means, (2, m, p)),
+                np.where(rng.random((4, m, p)) < 0.5, zeros, queries[:4]),
+            ])
+            diff = queries - moments.means[None]
+            want = np.einsum("nmi,mij,nmj->nm", diff, moments.inv_cov, diff)
+            got = quadratic_forms(diff.transpose(2, 0, 1), moments.inv_cov.transpose(1, 2, 0))
+            assert same_bits(got, want)
+            maha2 = squared_mahalanobis(queries, moments)
+            assert same_bits(maha2, np.maximum(want, 0.0))
+            # FM2 sums each row of these distances, which depends on the layout
+            assert maha2.shape == (len(queries), m) and maha2.flags.c_contiguous
 
 
 def resultant_norms(points, medians):

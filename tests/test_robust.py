@@ -11,10 +11,10 @@ import oracles
 from dirout import robust
 from dirout.errors import DegenerateDataError
 from dirout.outlyingness import reference_frame, summarize_values
+from dirout.pointwise import quadratic_forms
 from dirout.robust import (
     _nearest,
     _screen,
-    _squared_distances,
     c_step,
     consistency_factor,
     default_h,
@@ -289,7 +289,10 @@ class TestCStepParts:
             inv = root @ root.transpose(0, 2, 1)
             diff = pts[None] - loc[:, None, :]
             want = np.einsum("sni,sij,snj->sn", diff, inv, diff)
-            assert np.array_equal(bits(_squared_distances(pts, loc, inv)), bits(want))
+            # the layout c_step passes: (d, S, n) differences, (d, d, S, 1) inverses
+            got = quadratic_forms(pts.T[:, None, :] - loc.T[:, :, None],
+                                  inv.transpose(1, 2, 0)[..., None])
+            assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=80, deadline=None)
     @given(
