@@ -137,8 +137,11 @@ def _pair_counts(sorted_ref: np.ndarray, rows: np.ndarray, values: np.ndarray):
     binary search over all the pairs at once."""
     n = sorted_ref.shape[1]
     flat = sorted_ref.reshape(-1)
-    # #{ref < v} is #{ref <= the float just below v}, so one search gives both
-    v = np.concatenate([values, np.nextafter(values, -np.inf)])
+    # #{ref < v} is #{ref <= the float just below v}, so one search gives
+    # both; below the most negative finite float lies -inf, which numpy
+    # flags as an overflow though -inf is the float wanted there
+    with np.errstate(over="ignore"):
+        v = np.concatenate([values, np.nextafter(values, -np.inf)])
     start = np.concatenate([rows, rows]) * n
     # each row's count lies in [pos, pos + size]; each step halves the range
     pos, size = start.copy(), n

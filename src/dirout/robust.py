@@ -123,9 +123,24 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     Each row is summed in sorted index order, so a fit depends on the set of
     indices and not on the order they are listed in; otherwise the rounding
     of a near-singular covariance could give one set two determinants.
+
+    The points are gathered with ``np.take`` into a C-ordered (S, k, d)
+    stack whatever the layout of ``points``. For d >= 2 the means reduce a
+    second, (k, S, d) gather over its leading axis: both that and the (S, k,
+    d) stack's reduce over k add the k points one after another, in sorted
+    index order, but the leading axis runs over contiguous (S, d) rows. At
+    d = 1 numpy reduces the (S, k, 1) stack over k as its innermost axis,
+    pairwise, as the one-subset ``mean(axis=0)`` of k values does, while a
+    (k, S, 1) reduce would add the points one after another for S > 1 and
+    pairwise for S = 1; so d = 1 keeps the (S, k, 1) reduce, which is fast
+    there as well.
     """
-    sel = points[np.sort(subsets, axis=1)]
-    loc = sel.mean(axis=1)
+    order = np.sort(subsets, axis=1)
+    sel = np.take(points, order, axis=0)
+    if points.shape[1] == 1:
+        loc = sel.mean(axis=1)  # pairwise over k, as the one-subset mean; see above
+    else:
+        loc = np.take(points, order.T, axis=0).mean(axis=0)
     diff = sel - loc[:, None, :]
     # a stacked matmul reproduces the bits of the one-subset ``diff.T @ diff``
     cov = np.matmul(diff.transpose(0, 2, 1), diff) / subsets.shape[1]
@@ -160,12 +175,20 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     under that fit; of points tied in distance at the cut the lower indices
     are kept. A row whose determinant is not positive is an exact fit and
     takes no step; its new subset row is -1.
+
+    The fits sum each subset in sorted index order (see ``_subset_fits``:
+    one point after another for d >= 2, pairwise at d = 1, as the one-subset
+    fit does). The distances take the (d, S, n) differences from a C-ordered
+    (d, n) copy of the points, so each coordinate is one contiguous row
+    whatever the layout of ``points``; a subtraction gives the same bits in
+    any layout, and ``quadratic_forms`` adds the d^2 products in i-major order.
     """
     loc, cov, det = _subset_fits(points, subsets)
     regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
     inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
+    coords = np.ascontiguousarray(points.T)
     # the (d, S, n) differences are a temporary, freed before the selection
-    d2 = quadratic_forms(points.T[:, None, :] - loc[regular].T[:, :, None], inv)
+    d2 = quadratic_forms(coords[:, None, :] - loc[regular].T[:, :, None], inv)
     new_subsets = np.full((len(subsets), h), -1)
     new_subsets[regular] = _nearest(d2, h)
     return new_subsets, loc, cov, det

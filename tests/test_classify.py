@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ class TestHalfspaceCounts:
             for j, q in enumerate(queries[r]):
                 assert le[r, j] == np.count_nonzero(ref[r] <= q)
                 assert ge[r, j] == np.count_nonzero(ref[r] >= q)
+
+    def test_most_negative_float_counts_without_a_warning(self):
+        # the float below it is -inf, which np.nextafter flags as an overflow
+        x = -np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            le, ge = halfspace_counts(np.array([[x, 0.0, 1.0]]), np.array([[x, 0.0]]))
+        assert le.tolist() == [[1, 2]] and ge.tolist() == [[3, 2]]
 
     def test_fm1_query_one_ulp_above_a_reference_projection(self):
         # axis directions project exactly, so the oracle counts coordinates;

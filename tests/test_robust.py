@@ -321,6 +321,49 @@ class TestCStepParts:
         assert np.array_equal(_nearest(d2, h), want)
 
 
+class TestCStepLayouts:
+    """The c-step gathers and reduces along contiguous axes, and its bits
+    still equal the one-subset oracle's whatever the stack size and the
+    memory layout of the points."""
+
+    @pytest.mark.parametrize("k, seed", [(8, 0), (9, 3), (16, 5), (17, 2), (51, 0), (100, 0)])
+    def test_d1_one_and_two_row_stacks_equal_oracle(self, k, seed):
+        # at d = 1 the one-subset mean sums its k values pairwise; a (k, S, 1)
+        # reduce would add them one after another for S = 2, pairwise for S = 1
+        rng = np.random.default_rng(seed)
+        n = 120
+        pts = rng.standard_t(df=3, size=(n, 1))
+        h = default_h(n, 1)
+        subsets = np.array([rng.choice(n, size=k, replace=False) for _ in range(2)])
+        for subset in subsets:
+            # the data tell the two summation orders apart
+            values = pts[np.sort(subset), 0]
+            assert np.add.accumulate(values)[-1] != np.add.reduce(values)
+        stacked = c_step(pts, subsets, h)
+        for i, subset in enumerate(subsets):
+            one_row = [part[0] for part in c_step(pts, subset[None], h)]
+            assert_same_step([part[i] for part in stacked], one_row)
+            assert_same_step(one_row, [np.asarray(part) for part in oracles.c_step(pts, subset, h)])
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_point_layouts_give_the_same_bits(self, d):
+        rng = np.random.default_rng(30 + d)
+        n = 60
+        pts = rng.standard_t(df=3, size=(n, d))
+        wide = rng.normal(size=(n, d + 3))
+        wide[:, 1:d + 1] = pts
+        layouts = {"fortran": np.asfortranarray(pts), "column slice": wide[:, 1:d + 1]}
+        assert layouts["fortran"].flags.f_contiguous and not layouts["column slice"].flags.c_contiguous
+        h = default_h(n, d)
+        stacks = [np.array([rng.choice(n, size=k, replace=False) for _ in range(s)])
+                  for k, s in ((h, 1), (h, 7), (d + 1, 40), (n, 2))]
+        for name, layout in layouts.items():
+            assert np.array_equal(layout, pts), name
+            for subsets in stacks:
+                assert_same_step(c_step(layout, subsets, h), c_step(pts, subsets, h))
+            assert_same_fit(mcd_fit(layout, rng_seed=5), mcd_fit(pts, rng_seed=5))
+
+
 def assert_same_fit(fit, want):
     assert np.array_equal(fit.subset.view(np.int64), want.subset.view(np.int64))
     for name in ("location", "scatter", "determinant"):
