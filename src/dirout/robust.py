@@ -6,7 +6,10 @@ full iteration of the best few) and rescales the subset covariance with the
 usual chi-square consistency factor so distances are comparable across fits.
 One stacked kernel, `c_step`, takes the concentration steps of many subsets
 at once: the screening steps of all elemental starts run through it together,
-and so do the full iterations of the best few. A step keeps
+and so do the full iterations of the best few. The starts reach the same
+subsets within a few steps, so `c_step` concentrates each distinct row of its
+stack once and copies the result to the row's repeats, as the screening's
+final fits do with their determinants. A step keeps
 the h points closest under the subset's fit; among points tied in distance at
 the cut it keeps the lower indices, the choice of a stable sort. One
 generator draws the starts: each is the d + 1 smallest of one row of keys.
@@ -122,7 +125,12 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
 
     Each row is summed in sorted index order, so a fit depends on the set of
     indices and not on the order they are listed in; otherwise the rounding
-    of a near-singular covariance could give one set two determinants.
+    of a near-singular covariance could give one set two determinants. The
+    rows are sorted only when one of them is not strictly ascending: the
+    subsets that ``c_step`` returns already are.
+
+    Every row is computed, repeats too; ``c_step`` and the screening's final
+    fits pass each distinct row once (see ``_distinct_rows``).
 
     The points are gathered with ``np.take`` into a C-ordered (S, k, d)
     stack whatever the layout of ``points``. For d >= 2 the means reduce a
@@ -135,7 +143,8 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     pairwise for S = 1; so d = 1 keeps the (S, k, 1) reduce, which is fast
     there as well.
     """
-    order = np.sort(subsets, axis=1)
+    ascending = np.all(subsets[:, 1:] > subsets[:, :-1])
+    order = subsets if ascending else np.sort(subsets, axis=1)
     sel = np.take(points, order, axis=0)
     if points.shape[1] == 1:
         loc = sel.mean(axis=1)  # pairwise over k, as the one-subset mean; see above
@@ -145,6 +154,37 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     # a stacked matmul reproduces the bits of the one-subset ``diff.T @ diff``
     cov = np.matmul(diff.transpose(0, 2, 1), diff) / subsets.shape[1]
     return loc, cov, np.linalg.det(cov)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """An int64 key per row of an (S, k) integer stack: equal rows get equal
+    keys, and distinct rows seldom share one. Entry j is weighted by the
+    (j + 1)-th power of the 64-bit golden-ratio multiplier; products and sums
+    wrap, exactly."""
+    weights = np.cumprod(np.full(rows.shape[1], 0x9E3779B97F4A7C15 - 2**64, dtype=np.int64))
+    return rows @ weights
+
+
+def _distinct_rows(rows: np.ndarray):
+    """Group the identical rows of an (S, k) stack: returns (first, inverse),
+    the index of one row of each group and each row's group, so that
+    ``rows[first][inverse]`` equals ``rows``.
+
+    The keys only order the rows, by a stable sort; a row joins the group of
+    the row before it in that order only if the two share a key and are
+    equal element by element. So distinct rows that share a key are still
+    computed apart (and equal rows that such a row separates in the order
+    form two groups, which only costs a repeat).
+    """
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(rows), dtype=bool)
+    tie = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    new[tie] = (rows[order[tie]] != rows[order[tie - 1]]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
@@ -164,6 +204,19 @@ def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
     return nearest
 
 
+def _concentrate(points: np.ndarray, subsets: np.ndarray, h: int):
+    """The steps of ``c_step``, one per row of the stack, repeats included."""
+    loc, cov, det = _subset_fits(points, subsets)
+    regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
+    inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
+    coords = np.ascontiguousarray(points.T)
+    # the (d, S, n) differences are a temporary, freed before the selection
+    d2 = quadratic_forms(coords[:, None, :] - loc[regular].T[:, :, None], inv)
+    new_subsets = np.full((len(subsets), h), -1)
+    new_subsets[regular] = _nearest(d2, h)
+    return new_subsets, loc, cov, det
+
+
 def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     """Concentration steps of S index subsets of equal size k at once: keep
     the h points closest under each subset's fit.
@@ -174,7 +227,13 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     steps. Each new subset holds the sorted indices of the h points closest
     under that fit; of points tied in distance at the cut the lower indices
     are kept. A row whose determinant is not positive is an exact fit and
-    takes no step; its new subset row is -1.
+    takes no step; its new subset row is -1. The rows may list their indices
+    in any order.
+
+    A row's results do not depend on the other rows of the stack, so each
+    distinct row is computed once and its repeats get copies of its results
+    (rows are repeats when they are equal element by element; see
+    ``_distinct_rows``).
 
     The fits sum each subset in sorted index order (see ``_subset_fits``:
     one point after another for d >= 2, pairwise at d = 1, as the one-subset
@@ -182,16 +241,27 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     (d, n) copy of the points, so each coordinate is one contiguous row
     whatever the layout of ``points``; a subtraction gives the same bits in
     any layout, and ``quadratic_forms`` adds the d^2 products in i-major order.
+
+    Raises:
+        ValueError: if ``subsets`` is not a 2-D (S, k) stack (pass one subset
+            as ``subset[None]``), if an index lies outside [0, n) (-1, the
+            new subset row of an exact fit, is no index), or if h lies
+            outside [1, n].
     """
-    loc, cov, det = _subset_fits(points, subsets)
-    regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
-    inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
-    coords = np.ascontiguousarray(points.T)
-    # the (d, S, n) differences are a temporary, freed before the selection
-    d2 = quadratic_forms(coords[:, None, :] - loc[regular].T[:, :, None], inv)
-    new_subsets = np.full((len(subsets), h), -1)
-    new_subsets[regular] = _nearest(d2, h)
-    return new_subsets, loc, cov, det
+    subsets = np.asarray(subsets)
+    n = len(points)
+    if subsets.ndim != 2:
+        raise ValueError(f"subsets must be an (S, k) stack of index rows, got shape {subsets.shape}; "
+                         "pass one subset as subset[None]")
+    if subsets.size and not (subsets.min() >= 0 and subsets.max() < n):
+        raise ValueError(f"subset indices must lie in [0, {n}), got {subsets.min()} to {subsets.max()}")
+    if not 1 <= h <= n:
+        raise ValueError(f"h must satisfy 1 <= h <= {n}, got {h}")
+    first, inverse = _distinct_rows(subsets)
+    if len(first) == len(subsets):  # no repeats, as among elemental starts: nothing to copy
+        return _concentrate(points, subsets, h)
+    return tuple(np.take(part, inverse, axis=0)
+                 for part in _concentrate(points, np.take(subsets, first, axis=0), h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +348,9 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
         regular = ~(det <= 0.0)
         subsets[live[regular]] = new_subsets[regular]
         live = live[regular]
-    dets[live] = _subset_fits(points, subsets[live])[2]
+    # the screened subsets repeat; each distinct one is fitted once
+    first, inverse = _distinct_rows(subsets[live])
+    dets[live] = _subset_fits(points, subsets[live[first]])[2][inverse]
     return subsets, dets
 
 

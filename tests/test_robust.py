@@ -158,6 +158,42 @@ class TestCStep:
             subset = new_subset
         assert all(a >= b - 1e-12 * abs(a) for a, b in zip(dets, dets[1:]))
 
+    @pytest.mark.parametrize("bad", [-1, -30, 30, 31])
+    def test_rejects_indices_outside_the_sample(self, bad):
+        pts = np.random.default_rng(13).normal(size=(30, 2))
+        subsets = np.array([[3, 7, 11], [4, bad, 0]])
+        message = f"subset indices must lie in [0, 30), got {min(bad, 0)} to {max(bad, 11)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            c_step(pts, subsets, 16)
+
+    def test_exact_fit_marker_is_not_reused_as_an_index(self):
+        # three equal points: an exact fit, whose new subset row is -1; that
+        # row fed back used to fit points n - 1, 0 and 1 without a word
+        pts = np.random.default_rng(14).normal(size=(30, 2))
+        pts[[0, 1, 2]] = pts[0]
+        new_subsets, _, _, det = c_step(pts, np.array([[0, 1, 2]]), 3)
+        assert det[0] == 0.0 and np.all(new_subsets == -1)
+        with pytest.raises(ValueError, match=r"^subset indices must lie in \[0, 30\), got -1 to -1$"):
+            c_step(pts, new_subsets, 3)
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 3, 16), ()])
+    def test_rejects_subsets_that_are_not_a_stack(self, shape):
+        pts = np.random.default_rng(15).normal(size=(30, 2))
+        subsets = np.arange(int(np.prod(shape))).reshape(shape)
+        message = (f"subsets must be an (S, k) stack of index rows, got shape {shape}; "
+                   "pass one subset as subset[None]")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            c_step(pts, subsets, 16)
+
+    @pytest.mark.parametrize("h", [0, -1, 31, 100])
+    def test_rejects_h_outside_the_sample(self, h):
+        pts = np.random.default_rng(16).normal(size=(30, 2))
+        with pytest.raises(ValueError, match=f"^h must satisfy 1 <= h <= 30, got {h}$"):
+            c_step(pts, np.array([[0, 5, 9]]), h)
+        # the bounds themselves are steps
+        for h in (1, 30):
+            assert c_step(pts, np.array([[0, 5, 9]]), h)[0].shape == (1, h)
+
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
@@ -216,6 +252,121 @@ class TestStackedCSteps:
                 assert np.all(det <= previous + 1e-12 * np.abs(previous))
             regular = ~(det <= 0.0)
             subsets, previous = new_subsets[regular], det[regular]
+
+
+class TestRepeatedRows:
+    """A stack's repeated rows are computed once and each repeat gets the
+    bits of its row's one-row call; the grouping compares rows element by
+    element, so keys that collide cost only repeats, and it adds no c-step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        extra=st.integers(0, 30),
+        n_rows=st.integers(1, 6),
+        n_repeats=st.integers(1, 30),
+        sort=st.booleans(),
+        decimals=st.sampled_from([0, 1, None]),
+    )
+    # whole numbers at d = 1 and k = 2: many rows are exact fits
+    @example(seed=5, d=1, extra=12, n_rows=6, n_repeats=30, sort=False, decimals=0)
+    def test_repeats_equal_one_row_calls(self, seed, d, extra, n_rows, n_repeats, sort, decimals):
+        rng = np.random.default_rng(seed)
+        n = d + 2 + extra
+        pts = rng.standard_t(df=3, size=(n, d))
+        if decimals is not None:
+            pts = np.round(pts, decimals)  # duplicates and exact fits
+        h = int(rng.integers(d + 1, n + 1))
+        k = int(rng.choice([d + 1, h, n]))
+        rows = np.array([rng.choice(n, size=k, replace=False) for _ in range(n_rows)])
+        if sort:
+            rows = np.sort(rows, axis=1)
+        stack = rows[rng.integers(n_rows, size=n_repeats)]
+        stacked = c_step(pts, stack, h)
+        for i, row in enumerate(stack):
+            one_row = [part[0] for part in c_step(pts, row[None], h)]
+            assert_same_step([part[i] for part in stacked], one_row)
+            # the set decides, not the order its indices are listed in
+            assert_same_step(one_row, [part[0] for part in c_step(pts, np.sort(row)[None], h)])
+
+    def test_exact_fit_repeats_and_permutations(self):
+        # points 0-5 coincide: rows drawn from them are exact fits, listed
+        # repeated, permuted and interleaved with regular rows
+        rng = np.random.default_rng(17)
+        pts = rng.normal(size=(30, 2))
+        pts[:6] = pts[0]
+        stack = np.array([[0, 1, 2], [7, 9, 3], [0, 1, 2], [2, 1, 0], [7, 9, 3], [3, 4, 5], [0, 1, 2]])
+        new_subsets, _, _, det = stacked = c_step(pts, stack, 16)
+        exact = np.array([True, False, True, True, False, True, True])
+        assert np.array_equal(det <= 0.0, exact)
+        assert np.all(new_subsets[exact] == -1) and np.all(new_subsets[~exact] >= 0)
+        for i, row in enumerate(stack):
+            assert_same_step([part[i] for part in stacked], [part[0] for part in c_step(pts, row[None], 16)])
+
+    @pytest.mark.parametrize("dataset, derivatives", [(1, False), (3, False), (1, True)])
+    def test_screen_fits_each_repeated_subset_alike(self, dataset, derivatives):
+        pts = rmd_features(dataset, derivatives, 0, 2024)
+        h = default_h(*pts.shape)
+        subsets, dets = _screen(pts, h, 2024)
+        # the screened subsets repeat, so the final fits take the grouped path
+        assert len(np.unique(subsets, axis=0)) < len(subsets) // 2
+        for subset, det in zip(subsets, dets):
+            assert np.array_equal(bits(det), bits(robust._subset_fits(pts, subset[None])[2][0]))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [lambda rows: np.zeros(len(rows), dtype=np.int64), lambda rows: rows.sum(axis=1)],
+        ids=["all keys equal", "sum of indices"],
+    )
+    def test_rows_sharing_a_key_are_computed_apart(self, keys, monkeypatch):
+        # the sum of indices is the same for a row and its permutations, and
+        # for [0, 5, 7] and [1, 4, 7]
+        rng = np.random.default_rng(18)
+        pts = rng.normal(size=(30, 2))
+        pts[20:23] = pts[20]  # [20, 21, 22] is an exact fit
+        rows = np.array([[0, 5, 7], [7, 5, 0], [1, 4, 7], [20, 21, 22], [12, 2, 29], [0, 5, 7]])
+        stack = rows[[0, 1, 2, 0, 3, 4, 1, 5, 3, 2, 2, 0]]
+        want = c_step(pts, stack, 16)
+        monkeypatch.setattr(robust, "_row_keys", keys)
+        first, inverse = robust._distinct_rows(stack)
+        assert np.array_equal(stack[first][inverse], stack)
+        for i, j in itertools.combinations(range(len(stack)), 2):
+            if inverse[i] == inverse[j]:
+                assert np.array_equal(stack[i], stack[j])
+        # rows 0, 1 and 2 are distinct and collide under both keys
+        assert len({inverse[0], inverse[1], inverse[2]}) == 3
+        assert_same_step(c_step(pts, stack, 16), want)
+        for i, row in enumerate(stack):
+            assert_same_step([part[i] for part in want], [part[0] for part in c_step(pts, row[None], 16)])
+
+    @pytest.mark.parametrize(
+        "case, calls",
+        [("data 1", 4), ("data 1c", 4), ("cauchy", 5), ("duplicated", 8)],
+    )
+    def test_fit_makes_as_many_c_steps(self, case, calls, monkeypatch):
+        # the counts of the fit before the grouping: the grouping makes no
+        # c_step call of its own, which a counting wrapper of the public name
+        # (as a tracer installs) would see
+        rng = np.random.default_rng(21)
+        pts = {
+            "data 1": lambda: rmd_features(1, False, 0, 2024),
+            "data 1c": lambda: rmd_features(1, True, 1, 2024),
+            "cauchy": lambda: np.random.default_rng(4).standard_t(df=1, size=(200, 3)),
+            "duplicated": lambda: np.vstack([np.repeat(rng.normal(size=(6, 3)), 6, axis=0),
+                                             rng.normal(size=(4, 3))]),
+        }[case]()
+        want = mcd_fit(pts, rng_seed=4)
+        made = []
+        step = robust.c_step
+
+        def counted(*args):
+            made.append(args[1].shape)
+            return step(*args)
+
+        monkeypatch.setattr(robust, "c_step", counted)
+        assert_same_fit(mcd_fit(pts, rng_seed=4), want)
+        assert len(made) == calls
 
 
 class TestStackedIterate:
