@@ -258,8 +258,6 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     if not 1 <= h <= n:
         raise ValueError(f"h must satisfy 1 <= h <= {n}, got {h}")
     first, inverse = _distinct_rows(subsets)
-    if len(first) == len(subsets):  # no repeats, as among elemental starts: nothing to copy
-        return _concentrate(points, subsets, h)
     return tuple(np.take(part, inverse, axis=0)
                  for part in _concentrate(points, np.take(subsets, first, axis=0), h))
 
