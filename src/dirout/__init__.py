@@ -17,6 +17,7 @@ from .curves import (
 )
 from .classify import (
     METHODS,
+    BatchPredictions,
     ClassifierConfig,
     Prediction,
     TrainedModel,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,6 +40,7 @@ __all__ = [
     "ClassifierConfig",
     "TrainedModel",
     "Prediction",
+    "BatchPredictions",
     "train",
     "predict",
     "predict_batch",
@@ -75,6 +77,24 @@ class Prediction:
     labels: tuple[str, ...]
     scores: np.ndarray
     higher_is_better: bool
+
+
+@dataclass(frozen=True, eq=False)
+class BatchPredictions:
+    """The predicted label of each of N curves, with its row of scores; the
+    length is N, and ``record[i]`` builds curve i's ``Prediction``."""
+
+    label: np.ndarray  # (N,) predicted labels
+    scores: np.ndarray  # (N, K), one column per group
+    labels: tuple[str, ...]
+    higher_is_better: bool
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, i: int) -> Prediction:
+        i = operator.index(i)  # one curve: a slice has no single label
+        return Prediction(str(self.label[i]), self.labels, self.scores[i], self.higher_is_better)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,17 +478,15 @@ def _check_batch(model: TrainedModel, curves) -> np.ndarray:
     return curves.values if group else np.stack([q.values for q in queries])
 
 
-def predict_batch(model: TrainedModel, curves) -> list[Prediction]:
-    """Classify many curves at once; ties go to the smallest group index."""
+def predict_batch(model: TrainedModel, curves) -> BatchPredictions:
+    """Classify many curves at once into one record of label and score
+    arrays; ties go to the smallest group index."""
     values = _check_batch(model, curves)
     method = _METHODS[model.method]
     scores = method.score(model.state, values)
     higher = method.higher_is_better
     best = np.argmax(scores, axis=1) if higher else np.argmin(scores, axis=1)
-    return [
-        Prediction(model.labels[best[i]], model.labels, scores[i], higher)
-        for i in range(values.shape[0])
-    ]
+    return BatchPredictions(np.asarray(model.labels)[best], scores, model.labels, higher)
 
 
 def predict(model: TrainedModel, x0: Curve) -> Prediction:

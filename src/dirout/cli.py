@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .classify import METHODS, ClassifierConfig, predict_batch, train
 from .curves import derivative_augment, read_groups_csv, write_groups_csv
 from .experiment import ExperimentSpec, emit_diagnostics, run_experiment
@@ -107,12 +109,11 @@ def _cmd_classify(args) -> int:
     for label, g in test_groups.items():
         queries = derivative_augment(g) if args.derivatives else g
         preds = predict_batch(model, queries)
+        correct += np.count_nonzero(preds.label == label)
+        total += len(preds)
         ids = test_report["curve_ids"][label]
-        for cid, pred in zip(ids, preds):
-            correct += pred.label == label
-            total += 1
-            scores = ",".join(repr(float(s)) for s in pred.scores)
-            lines.append(f"{cid},{label},{pred.label},{scores}")
+        for cid, predicted, row in zip(ids, preds.label, preds.scores.tolist()):
+            lines.append(f"{cid},{label},{predicted}," + ",".join(map(repr, row)))
     with open(args.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"accuracy: {correct / total:.4f} ({correct}/{total})")

@@ -9,6 +9,7 @@ per method as one rate per replicate.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,12 +56,18 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", methods)
         ds = str(self.dataset)
         object.__setattr__(self, "dataset", ds.lower() if ds.lower() in DATASETS else ds)
+        for name in ("n_train", "n_test", "replicates", "seed", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.m < 2:
+            raise ValueError("m must be >= 2")
 
     @property
     def is_generated(self) -> bool:
@@ -175,10 +182,10 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
                 train_groups, method, spec.config,
                 rng_seed=derive_seed(spec.seed, r, _ROLE_TRAIN + i),
             )
-            labels = np.array([pred.label for pred in predict_batch(model, queries)])
+            predicted = predict_batch(model, queries).label
         except Exception as exc:
             raise RuntimeError(f"replicate {r}, method {method}: {exc}") from exc
-        rates[i] = np.count_nonzero(labels == truth) / truth.size
+        rates[i] = np.count_nonzero(predicted == truth) / truth.size
     return rates
 
 

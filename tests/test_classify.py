@@ -456,6 +456,47 @@ class TestBatchAgainstSinglePredictions:
                 assert single.label == pred.label == in_group.label
 
 
+class TestBatchPredictions:
+    """``predict_batch`` returns one record of arrays; indexing it gives a
+    curve's ``Prediction``."""
+
+    def _record(self, method="VOM", n_queries=7):
+        rng = np.random.default_rng(52)
+        a, b = gaussian_group(rng, "a", p=2), gaussian_group(rng, "b", p=2, shift=2.0)
+        shifts = 2.0 * (np.arange(n_queries) % 2)[:, None, None]
+        queries = [Curve(v, a.grid) for v in shifts + rng.normal(size=(n_queries, 10, 2))]
+        model = train([a, b], method, rng_seed=53)
+        return model, queries, predict_batch(model, queries)
+
+    def test_len_is_the_number_of_curves(self):
+        _, queries, record = self._record()
+        assert len(record) == len(queries) == record.scores.shape[0]
+        assert record.scores.shape == (len(queries), 2)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_label_array_equals_the_predictions_labels(self, method):
+        model, _, record = self._record(method)
+        preds = list(record)
+        assert record.label.tolist() == [p.label for p in preds]
+        assert len(set(record.label.tolist())) == 2
+        for i, pred in enumerate(preds):
+            assert np.array_equal(pred.scores, record.scores[i])
+            assert pred.labels == model.labels == record.labels
+            assert pred.higher_is_better == record.higher_is_better
+
+    def test_indexing_takes_one_curve(self):
+        _, _, record = self._record()
+        assert record[-1].label == record.label[-1] and record[np.int64(2)].label == record.label[2]
+        with pytest.raises(TypeError):
+            record[1:3]
+        with pytest.raises(IndexError):
+            record[len(record)]
+
+    def test_single_prediction_label_is_a_python_str(self):
+        model, queries, _ = self._record()
+        assert type(predict(model, queries[0]).label) is str
+
+
 def growth_group(rng, label, n=30, m=12, shift=0.0):
     """Bivariate curves that all start at 0, with scatter growing in t."""
     t = np.linspace(0.0, 1.0, m)

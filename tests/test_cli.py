@@ -1,7 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
+from dirout import classify
+from dirout.classify import METHODS
 from dirout.cli import main
 from dirout.curves import read_groups_csv
 
@@ -87,6 +90,52 @@ def test_bench_command_deterministic(tmp_path, capsys):
         assert method in ("VOM", "FM2")
         assert 0.0 <= float(p_c) <= 1.0
     assert "mean p_c" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("seed", 1.5, "seed must be an integer, got 1.5"),
+     ("replicates", 1.5, "replicates must be an integer, got 1.5"),
+     ("n_train", True, "n_train must be an integer, got True"),
+     ("m", 1, "m must be >= 2")],
+)
+def test_bench_rejects_a_spec_with_bad_counts(tmp_path, capsys, field, value, message):
+    spec = {"dataset": "4", "methods": ["VOM"], "n_train": 10, "n_test": 5, "replicates": 2,
+            "m": 10, field: value}
+    spec_f, out = tmp_path / "spec.json", tmp_path / "rates.csv"
+    spec_f.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_writes_the_first_best_score_and_its_accuracy(tmp_path, capsys, method):
+    files = {}
+    for role, seed in (("train", 60), ("test", 70)):
+        text = []
+        for cls in (0, 1):
+            path = tmp_path / f"{role}{cls}.csv"
+            assert main(["simulate", "--data", "1", "--class", str(cls), "--n", "25", "--m", "12",
+                         "--seed", str(seed + cls), "--out", str(path)]) == 0
+            text += path.read_text().splitlines()[cls:]  # one header
+        files[role] = tmp_path / f"{role}.csv"
+        files[role].write_text("\n".join(text) + "\n")
+    out = tmp_path / "pred.csv"
+    assert main(["classify", "--train", str(files["train"]), "--test", str(files["test"]),
+                 "--method", method, "--derivatives", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "curve_id,true_group,predicted,score_0,score_1"
+    assert len(rows) == 50
+    higher = classify._METHODS[method].higher_is_better
+    correct = 0
+    for row in rows:
+        _, truth, predicted, *scores = row.split(",")
+        scores = [float(s) for s in scores]
+        best = max(scores) if higher else min(scores)
+        assert predicted == ("0", "1")[scores.index(best)]  # the first best
+        correct += predicted == truth
+    assert f"accuracy: {correct / 50:.4f} ({correct}/50)\n" in capsys.readouterr().out
 
 
 def test_error_exit_code(tmp_path, capsys):

@@ -89,6 +89,24 @@ class TestRunExperiment:
         run_experiment(spec)
         assert calls == [(method, 10) for method in METHODS] * 2
 
+    def test_rates_count_the_record_labels_equal_to_the_truth(self, monkeypatch):
+        records = []
+        original = experiment.predict_batch
+
+        def keeping(model, queries):
+            records.append(original(model, queries))
+            return records[-1]
+
+        monkeypatch.setattr(experiment, "predict_batch", keeping)
+        spec = ExperimentSpec("1c", METHODS, n_train=15, n_test=20, replicates=2, seed=11, m=12)
+        rates = run_experiment(spec).rates
+        truth = np.repeat(["0", "1"], spec.n_test)
+        counts = [np.count_nonzero(record.label == truth) for record in records]
+        # one record per (replicate, method), in that order
+        assert rates.T.reshape(-1).tolist() == [c / truth.size for c in counts]
+        assert counts == [sum(p.label == t for p, t in zip(rec, truth)) for rec in records]
+        assert 0 < min(counts) < truth.size
+
     def test_method_failure_names_replicate(self, tmp_path):
         rng = np.random.default_rng(7)
         groups = make_level_groups(rng, [("0", 0.0), ("1", 1.0)], n=8)
@@ -177,3 +195,28 @@ class TestEmitDiagnostics:
         emit_diagnostics(grp, ref, out, curve_ids=["median"])
         line = out.read_text().strip().split("\n")[1]
         assert line == "median,0.0,0.0,0.0,0.0"
+
+
+class TestSpecValidation:
+    """A spec read from JSON is outside input: its counts are checked when it
+    is built, not when the run reaches them."""
+
+    BASE = {"dataset": "4", "methods": ["VOM"], "n_train": 10, "n_test": 5, "replicates": 2}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("m", 2.5), ("replicates", 1.5), ("n_train", True), ("n_test", 5.0),
+         ("m", "20"), ("seed", False)],
+    )
+    def test_non_integer_counts_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ExperimentSpec.from_json(json.dumps({**self.BASE, field: value}))
+
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_grids_below_two_points_are_rejected(self, m):
+        with pytest.raises(ValueError, match="^m must be >= 2$"):
+            ExperimentSpec(**{**self.BASE, "methods": ("VOM",), "m": m})
+
+    def test_numpy_integers_are_accepted(self):
+        spec = ExperimentSpec(**{**self.BASE, "methods": ("VOM",), "seed": np.int64(3), "m": np.int32(2)})
+        assert (spec.seed, spec.m) == (3, 2)
