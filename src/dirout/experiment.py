@@ -50,9 +50,11 @@ class ExperimentSpec:
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:
             raise ValueError("methods must be non-empty")
-        for m in methods:
+        for i, m in enumerate(methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+            if m in methods[:i]:
+                raise ValueError(f"method {m!r} is listed twice")
         object.__setattr__(self, "methods", methods)
         ds = str(self.dataset)
         object.__setattr__(self, "dataset", ds.lower() if ds.lower() in DATASETS else ds)
@@ -60,6 +62,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.derivatives, bool):
+            raise ValueError(f"derivatives must be a bool, got {self.derivatives!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.n_train < 1 or self.n_test < 1:

@@ -7,9 +7,9 @@ usual chi-square consistency factor so distances are comparable across fits.
 One stacked kernel, `c_step`, takes the concentration steps of many subsets
 at once: the screening steps of all elemental starts run through it together,
 and so do the full iterations of the best few. The starts reach the same
-subsets within a few steps, so `c_step` concentrates each distinct row of its
-stack once and copies the result to the row's repeats, as the screening's
-final fits do with their determinants. A step keeps
+subsets within a few steps, so the screening passes `c_step` each distinct
+subset once and copies the results to the subset's repeats, in its steps and
+in its final fits alike. A step keeps
 the h points closest under the subset's fit; among points tied in distance at
 the cut it keeps the lower indices, the choice of a stable sort. One
 generator draws the starts: each is the d + 1 smallest of one row of keys.
@@ -129,8 +129,8 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     rows are sorted only when one of them is not strictly ascending: the
     subsets that ``c_step`` returns already are.
 
-    Every row is computed, repeats too; ``c_step`` and the screening's final
-    fits pass each distinct row once (see ``_distinct_rows``).
+    Every row is computed, repeats too; the screening passes each distinct
+    row once, to its steps and to its final fits (see ``_distinct_rows``).
 
     The points are gathered with ``np.take`` into a C-ordered (S, k, d)
     stack whatever the layout of ``points``. For d >= 2 the means reduce a
@@ -204,19 +204,6 @@ def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
     return nearest
 
 
-def _concentrate(points: np.ndarray, subsets: np.ndarray, h: int):
-    """The steps of ``c_step``, one per row of the stack, repeats included."""
-    loc, cov, det = _subset_fits(points, subsets)
-    regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
-    inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
-    coords = np.ascontiguousarray(points.T)
-    # the (d, S, n) differences are a temporary, freed before the selection
-    d2 = quadratic_forms(coords[:, None, :] - loc[regular].T[:, :, None], inv)
-    new_subsets = np.full((len(subsets), h), -1)
-    new_subsets[regular] = _nearest(d2, h)
-    return new_subsets, loc, cov, det
-
-
 def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     """Concentration steps of S index subsets of equal size k at once: keep
     the h points closest under each subset's fit.
@@ -228,12 +215,8 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     under that fit; of points tied in distance at the cut the lower indices
     are kept. A row whose determinant is not positive is an exact fit and
     takes no step; its new subset row is -1. The rows may list their indices
-    in any order.
-
-    A row's results do not depend on the other rows of the stack, so each
-    distinct row is computed once and its repeats get copies of its results
-    (rows are repeats when they are equal element by element; see
-    ``_distinct_rows``).
+    in any order. Every row is computed, repeats too, and a row's results do
+    not depend on the other rows of the stack.
 
     The fits sum each subset in sorted index order (see ``_subset_fits``:
     one point after another for d >= 2, pairwise at d = 1, as the one-subset
@@ -257,9 +240,15 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
         raise ValueError(f"subset indices must lie in [0, {n}), got {subsets.min()} to {subsets.max()}")
     if not 1 <= h <= n:
         raise ValueError(f"h must satisfy 1 <= h <= {n}, got {h}")
-    first, inverse = _distinct_rows(subsets)
-    return tuple(np.take(part, inverse, axis=0)
-                 for part in _concentrate(points, np.take(subsets, first, axis=0), h))
+    loc, cov, det = _subset_fits(points, subsets)
+    regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
+    inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
+    coords = np.ascontiguousarray(points.T)
+    # the (d, S, n) differences are a temporary, freed before the selection
+    d2 = quadratic_forms(coords[:, None, :] - loc[regular].T[:, :, None], inv)
+    new_subsets = np.full((len(subsets), h), -1)
+    new_subsets[regular] = _nearest(d2, h)
+    return new_subsets, loc, cov, det
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +331,11 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
     dets = np.zeros(len(subsets))
     live = np.arange(len(subsets))
     for _ in range(SCREEN_STEPS):
-        new_subsets, _, _, det = c_step(points, subsets[live], h)
-        regular = ~(det <= 0.0)
-        subsets[live[regular]] = new_subsets[regular]
+        # the starts reach the same subsets: each distinct one steps once
+        first, inverse = _distinct_rows(subsets[live])
+        new_subsets, _, _, det = c_step(points, subsets[live[first]], h)
+        regular = ~(det[inverse] <= 0.0)
+        subsets[live[regular]] = new_subsets[inverse[regular]]
         live = live[regular]
     # the screened subsets repeat; each distinct one is fitted once
     first, inverse = _distinct_rows(subsets[live])

@@ -198,7 +198,7 @@ class TestEmitDiagnostics:
 
 
 class TestSpecValidation:
-    """A spec read from JSON is outside input: its counts are checked when it
+    """A spec read from JSON is outside input: its fields are checked when it
     is built, not when the run reaches them."""
 
     BASE = {"dataset": "4", "methods": ["VOM"], "n_train": 10, "n_test": 5, "replicates": 2}
@@ -220,3 +220,18 @@ class TestSpecValidation:
     def test_numpy_integers_are_accepted(self):
         spec = ExperimentSpec(**{**self.BASE, "methods": ("VOM",), "seed": np.int64(3), "m": np.int32(2)})
         assert (spec.seed, spec.m) == (3, 2)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_derivatives_that_are_not_bools_are_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^derivatives must be a bool, got {value!r}$"):
+            ExperimentSpec.from_json(json.dumps({**self.BASE, "derivatives": value}))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_booleans_load_as_derivatives(self, value):
+        spec = ExperimentSpec.from_json(json.dumps({**self.BASE, "derivatives": value}))
+        assert spec.derivatives is value
+        assert ExperimentSpec.from_json(spec.to_json()).derivatives is value
+
+    def test_a_method_listed_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="^method 'RP1' is listed twice$"):
+            ExperimentSpec(**{**self.BASE, "methods": ("RP1", "rp1")})

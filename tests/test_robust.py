@@ -254,10 +254,30 @@ class TestStackedCSteps:
             subsets, previous = new_subsets[regular], det[regular]
 
 
+COLLIDING_KEYS = pytest.mark.parametrize(
+    "keys",
+    [lambda rows: np.zeros(len(rows), dtype=np.int64), lambda rows: rows.sum(axis=1)],
+    ids=["all keys equal", "sum of indices"],
+)
+
+
+def fit_case(case):
+    """The points of a named FAST-MCD case."""
+    rng = np.random.default_rng(21)
+    return {
+        "data 1": lambda: rmd_features(1, False, 0, 2024),
+        "data 1c": lambda: rmd_features(1, True, 1, 2024),
+        "cauchy": lambda: np.random.default_rng(4).standard_t(df=1, size=(200, 3)),
+        "duplicated": lambda: np.vstack([np.repeat(rng.normal(size=(6, 3)), 6, axis=0),
+                                         rng.normal(size=(4, 3))]),
+    }[case]()
+
+
 class TestRepeatedRows:
-    """A stack's repeated rows are computed once and each repeat gets the
-    bits of its row's one-row call; the grouping compares rows element by
-    element, so keys that collide cost only repeats, and it adds no c-step."""
+    """Every repeat of a row in a stack gets the bits of its row's one-row
+    call; the screening steps and fits each distinct subset once, grouping
+    rows by comparing them element by element, so keys that collide cost
+    only repeats, and the grouping adds no c-step."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -314,11 +334,7 @@ class TestRepeatedRows:
         for subset, det in zip(subsets, dets):
             assert np.array_equal(bits(det), bits(robust._subset_fits(pts, subset[None])[2][0]))
 
-    @pytest.mark.parametrize(
-        "keys",
-        [lambda rows: np.zeros(len(rows), dtype=np.int64), lambda rows: rows.sum(axis=1)],
-        ids=["all keys equal", "sum of indices"],
-    )
+    @COLLIDING_KEYS
     def test_rows_sharing_a_key_are_computed_apart(self, keys, monkeypatch):
         # the sum of indices is the same for a row and its permutations, and
         # for [0, 5, 7] and [1, 4, 7]
@@ -340,6 +356,19 @@ class TestRepeatedRows:
         for i, row in enumerate(stack):
             assert_same_step([part[i] for part in want], [part[0] for part in c_step(pts, row[None], 16)])
 
+    @COLLIDING_KEYS
+    @pytest.mark.parametrize("case", ["data 1", "duplicated"])
+    def test_screen_and_fit_keep_their_bits_when_keys_collide(self, case, keys, monkeypatch):
+        pts = fit_case(case)
+        h = default_h(*pts.shape)
+        want_subsets, want_dets = _screen(pts, h, 4)
+        want = mcd_fit(pts, rng_seed=4)
+        monkeypatch.setattr(robust, "_row_keys", keys)
+        subsets, dets = _screen(pts, h, 4)
+        assert np.array_equal(subsets, want_subsets)
+        assert np.array_equal(bits(dets), bits(want_dets))
+        assert_same_fit(mcd_fit(pts, rng_seed=4), want)
+
     @pytest.mark.parametrize(
         "case, calls",
         [("data 1", 4), ("data 1c", 4), ("cauchy", 5), ("duplicated", 8)],
@@ -348,14 +377,7 @@ class TestRepeatedRows:
         # the counts of the fit before the grouping: the grouping makes no
         # c_step call of its own, which a counting wrapper of the public name
         # (as a tracer installs) would see
-        rng = np.random.default_rng(21)
-        pts = {
-            "data 1": lambda: rmd_features(1, False, 0, 2024),
-            "data 1c": lambda: rmd_features(1, True, 1, 2024),
-            "cauchy": lambda: np.random.default_rng(4).standard_t(df=1, size=(200, 3)),
-            "duplicated": lambda: np.vstack([np.repeat(rng.normal(size=(6, 3)), 6, axis=0),
-                                             rng.normal(size=(4, 3))]),
-        }[case]()
+        pts = fit_case(case)
         want = mcd_fit(pts, rng_seed=4)
         made = []
         step = robust.c_step
@@ -367,6 +389,12 @@ class TestRepeatedRows:
         monkeypatch.setattr(robust, "c_step", counted)
         assert_same_fit(mcd_fit(pts, rng_seed=4), want)
         assert len(made) == calls
+        if case == "data 1":
+            # one elemental step, then the screening steps: their 500 starts
+            # repeat, and each distinct subset reaches c_step once
+            screened = made[1:1 + robust.SCREEN_STEPS]
+            assert [k for _, k in screened] == [default_h(*pts.shape)] * robust.SCREEN_STEPS
+            assert all(rows < robust.N_STARTS for rows, _ in screened)
 
 
 class TestStackedIterate:
