@@ -7,7 +7,6 @@ generators with an experiment runner.
 """
 
 from .curves import (
-    Curve,
     FunctionalGroup,
     Grid,
     derivative_augment,
@@ -19,9 +18,7 @@ from .classify import (
     METHODS,
     BatchPredictions,
     ClassifierConfig,
-    Prediction,
     TrainedModel,
-    predict,
     predict_batch,
     rp_directions,
     train,
@@ -36,11 +33,9 @@ from .errors import (
 )
 from .experiment import ExperimentResult, ExperimentSpec, emit_diagnostics, run_experiment
 from .outlyingness import (
-    OutlyingnessSummary,
     check_transformation_invariance,
     pointwise_outlyingness,
     reference_frame,
-    summarize,
     summarize_values,
 )
 from .pointwise import geometric_medians_batch

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import Curve, FunctionalGroup, Grid
+from .curves import FunctionalGroup, Grid
 from .outlyingness import reference_frame, squared_mahalanobis, summarize_values
 from .pointwise import random_unit_directions
 from .robust import mcd_fit, rmd
@@ -39,10 +38,8 @@ __all__ = [
     "METHODS",
     "ClassifierConfig",
     "TrainedModel",
-    "Prediction",
     "BatchPredictions",
     "train",
-    "predict",
     "predict_batch",
     "halfspace_counts",
     "rp_directions",
@@ -70,19 +67,10 @@ class ClassifierConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Prediction:
-    """A predicted group label with the per-group scores that produced it."""
-
-    label: str
-    labels: tuple[str, ...]
-    scores: np.ndarray
-    higher_is_better: bool
-
-
-@dataclass(frozen=True, eq=False)
 class BatchPredictions:
-    """The predicted label of each of N curves, with its row of scores; the
-    length is N, and ``record[i]`` builds curve i's ``Prediction``."""
+    """The predicted label of each of N curves, with its row of scores, as
+    arrays; the length is N. Curve i's prediction is ``label[i]`` with
+    ``scores[i]``, one score per group of ``labels``."""
 
     label: np.ndarray  # (N,) predicted labels
     scores: np.ndarray  # (N, K), one column per group
@@ -91,10 +79,6 @@ class BatchPredictions:
 
     def __len__(self) -> int:
         return len(self.label)
-
-    def __getitem__(self, i: int) -> Prediction:
-        i = operator.index(i)  # one curve: a slice has no single label
-        return Prediction(str(self.label[i]), self.labels, self.scores[i], self.higher_is_better)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,30 +449,13 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def _check_batch(model: TrainedModel, curves) -> np.ndarray:
-    """Query values (N, m, p): a group's own array, checked once, or a list of
-    curves checked one by one and stacked."""
-    group = isinstance(curves, FunctionalGroup)
-    queries = [curves] if group else list(curves)
-    if not queries:
-        raise ValueError("no curves to classify")
-    for q in queries:
-        if not q.grid.same_points(model.grid) or q.p != model.p:
-            raise ValueError("query curves must match the model's grid and dimension")
-    return curves.values if group else np.stack([q.values for q in queries])
-
-
-def predict_batch(model: TrainedModel, curves) -> BatchPredictions:
-    """Classify many curves at once into one record of label and score
-    arrays; ties go to the smallest group index."""
-    values = _check_batch(model, curves)
+def predict_batch(model: TrainedModel, queries: FunctionalGroup) -> BatchPredictions:
+    """Classify every curve of a group into one record of label and score
+    arrays; ties go to the smallest group index. One curve is a group of one."""
+    if not queries.grid.same_points(model.grid) or queries.p != model.p:
+        raise ValueError("query curves must match the model's grid and dimension")
     method = _METHODS[model.method]
-    scores = method.score(model.state, values)
+    scores = method.score(model.state, queries.values)
     higher = method.higher_is_better
     best = np.argmax(scores, axis=1) if higher else np.argmin(scores, axis=1)
     return BatchPredictions(np.asarray(model.labels)[best], scores, model.labels, higher)
-
-
-def predict(model: TrainedModel, x0: Curve) -> Prediction:
-    """Classify a single curve with the model's method."""
-    return predict_batch(model, [x0])[0]

@@ -1,7 +1,8 @@
 """Data model for vector-valued curves sampled on a shared grid.
 
 A dataset is a collection of groups; each group holds curves observed at the
-same ordered time points. Integration against the grid uses trapezoidal
+same ordered time points as one (n, m, p) array, and a curve is a row of it:
+there is no per-curve object. Integration against the grid uses trapezoidal
 weights normalized to sum to one, i.e. a constant weight function on the
 observation interval.
 """
@@ -21,7 +22,6 @@ from .pointwise import PointwiseMoments, geometric_medians_batch, pointwise_mome
 
 __all__ = [
     "Grid",
-    "Curve",
     "FunctionalGroup",
     "integrate",
     "derivative_augment",
@@ -67,68 +67,15 @@ class Grid:
         return self is other or (self.m == other.m and np.array_equal(self.points, other.points))
 
 
-@dataclass(frozen=True, eq=False)
-class Curve:
-    """One p-variate functional observation: an (m, p) value matrix on a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2:
-            raise ValueError(f"curve values must be (m, p), got shape {vals.shape}")
-        if vals.shape[0] != self.grid.m:
-            raise ValueError(
-                f"curve has {vals.shape[0]} rows but grid has {self.grid.m} points"
-            )
-        if vals.shape[1] < 1:
-            raise ValueError("curve needs at least one component")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("curve values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class FunctionalGroup:
     """A labeled collection of curves sharing one grid, held as one read-only
-    (n, m, p) array of values; ``curves`` and the point-wise ``moments`` and
-    ``medians`` are computed from it on first use and kept."""
+    (n, m, p) array of values; the point-wise ``moments`` and ``medians`` are
+    computed from it on first use and kept. ``from_values`` builds one."""
 
     label: str
     values: np.ndarray
     grid: Grid
-
-    def __init__(self, label: str, curves):
-        curves = tuple(curves)
-        if not curves:
-            raise ValueError("group must contain at least one curve")
-        grid = curves[0].grid
-        p = curves[0].p
-        for c in curves[1:]:
-            if not grid.same_points(c.grid):
-                raise ValueError(f"curves in group {label!r} are on different grids")
-            if c.p != p:
-                raise ValueError(f"curves in group {label!r} differ in dimension")
-        self._hold(label, np.stack([c.values for c in curves]), grid)
-        self.__dict__["curves"] = curves
-
-    def _hold(self, label: str, values: np.ndarray, grid: Grid) -> None:
-        values = values.view()
-        values.flags.writeable = False
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "grid", grid)
 
     @classmethod
     def from_values(cls, label: str, values: np.ndarray, grid: Grid) -> "FunctionalGroup":
@@ -148,8 +95,10 @@ class FunctionalGroup:
             raise ValueError("curve needs at least one component")
         if not np.isfinite(values).all():
             raise ValueError("curve values must be finite")
+        values = np.ascontiguousarray(values).view()
+        values.flags.writeable = False
         group = cls.__new__(cls)
-        group._hold(label, np.ascontiguousarray(values), grid)
+        group.__dict__.update(label=label, values=values, grid=grid)
         return group
 
     @property
@@ -159,11 +108,6 @@ class FunctionalGroup:
     @property
     def p(self) -> int:
         return self.values.shape[2]
-
-    @cached_property
-    def curves(self) -> tuple[Curve, ...]:
-        """One ``Curve`` per row of ``values``."""
-        return tuple(Curve(v, self.grid) for v in self.values)
 
     @cached_property
     def moments(self) -> PointwiseMoments:

@@ -7,6 +7,9 @@ as the point-wise depth. Averaging over the grid yields the scalar summaries
 satisfy FOM = MO MO^T + VOM with FO = tr(FOM) and VO = tr(VOM), and VOM is
 conjugated by A0 when the data are transformed by t-dependent positive
 rescaling, an orthogonal map A0, shifts, and a time re-indexing.
+
+Curves enter as an (N, m, p) array of values, checked against the reference
+group's m and p; one curve is a batch of one, ``values[None]``.
 """
 
 from __future__ import annotations
@@ -15,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, FunctionalGroup
+from .curves import FunctionalGroup
 from .pointwise import PointwiseMoments, quadratic_forms
 from .pointwise import geometric_medians_batch  # unused here: perfbench/tracing.py wraps it by name
 
 __all__ = [
-    "OutlyingnessSummary",
     "reference_frame",
     "pointwise_outlyingness",
-    "summarize",
     "summarize_values",
     "squared_mahalanobis",
     "check_transformation_invariance",
@@ -48,8 +49,23 @@ def squared_mahalanobis(values: np.ndarray, moments: PointwiseMoments) -> np.nda
     return np.maximum(maha2, 0.0, out=maha2)
 
 
-def _outlyingness_values(values: np.ndarray, reference: FunctionalGroup) -> np.ndarray:
-    """Outlyingness vectors for a batch of curves: (N, m, p) -> (N, m, p)."""
+def pointwise_outlyingness(values: np.ndarray, reference: FunctionalGroup) -> np.ndarray:
+    """Outlyingness vectors of a batch of curves at every grid point:
+    (N, m, p) -> (N, m, p).
+
+    Raises:
+        ValueError: if ``values`` is not (N, m, p) with the reference's m and
+            p, or holds a value that is not finite; before any statistic of
+            the reference is computed.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1:] != (reference.grid.m, reference.p):
+        raise ValueError(
+            f"expected (N, {reference.grid.m}, {reference.p}) values for reference "
+            f"group {reference.label!r}, got shape {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError("curve values must be finite")
     maha2 = squared_mahalanobis(values, reference.moments)
     dev = values - reference.medians[None]
     dist = np.linalg.norm(dev, axis=2)
@@ -58,30 +74,6 @@ def _outlyingness_values(values: np.ndarray, reference: FunctionalGroup) -> np.n
     unit[dist < ZERO_DIRECTION_TOL] = 0.0
     # 1/depth - 1 equals the squared Mahalanobis distance for this depth
     return maha2[:, :, None] * unit
-
-
-def _check_query(curve: Curve, reference: FunctionalGroup) -> np.ndarray:
-    if not curve.grid.same_points(reference.grid):
-        raise ValueError("curve and reference group are on different grids")
-    if curve.p != reference.p:
-        raise ValueError(f"curve has p={curve.p}, reference has p={reference.p}")
-    return curve.values[None]
-
-
-def pointwise_outlyingness(curve: Curve, reference: FunctionalGroup) -> np.ndarray:
-    """Directional outlyingness of one curve at every grid point, as (m, p)."""
-    return _outlyingness_values(_check_query(curve, reference), reference)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OutlyingnessSummary:
-    """Grid-averaged outlyingness of one curve against a reference group."""
-
-    mo: np.ndarray  # (p,) mean directional outlyingness
-    vo: float  # variation of directional outlyingness
-    fo: float  # total outlyingness
-    fom: np.ndarray  # (p, p)
-    vom: np.ndarray  # (p, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +86,16 @@ class BatchSummaries:
     fom: np.ndarray  # (N, p, p)
     vom: np.ndarray  # (N, p, p)
 
-    def __getitem__(self, i: int) -> OutlyingnessSummary:
-        return OutlyingnessSummary(
-            self.mo[i], float(self.vo[i]), float(self.fo[i]), self.fom[i], self.vom[i]
-        )
-
 
 def summarize_values(values: np.ndarray, reference: FunctionalGroup) -> BatchSummaries:
-    """Summaries for an (N, m, p) batch of curve values against one group."""
+    """MO, VO, FO and the outlyingness matrices of an (N, m, p) batch of
+    curves against one group, checked as ``pointwise_outlyingness`` does.
+
+    The curves are never pooled into the reference: the group's empirical
+    distribution alone defines the point-wise depths and medians.
+    """
+    o = pointwise_outlyingness(values, reference)
     w = reference.moments.weights
-    o = _outlyingness_values(values, reference)
     mo = np.einsum("m,nmi->ni", w, o)
     fo = np.einsum("m,nmi,nmi->n", w, o, o)
     dev = o - mo[:, None, :]
@@ -111,15 +103,6 @@ def summarize_values(values: np.ndarray, reference: FunctionalGroup) -> BatchSum
     fom = np.einsum("m,nmi,nmj->nij", w, o, o)
     vom = np.einsum("m,nmi,nmj->nij", w, dev, dev)
     return BatchSummaries(mo, vo, fo, fom, vom)
-
-
-def summarize(curve: Curve, reference: FunctionalGroup) -> OutlyingnessSummary:
-    """MO, VO, FO and the outlyingness matrices of a curve w.r.t. a group.
-
-    The curve is never pooled into the reference: the group's empirical
-    distribution alone defines the point-wise depths and medians.
-    """
-    return summarize_values(_check_query(curve, reference), reference)[0]
 
 
 def _apply_transform(
@@ -131,7 +114,7 @@ def _apply_transform(
 
 
 def check_transformation_invariance(
-    curve: Curve,
+    values: np.ndarray,
     reference: FunctionalGroup,
     a0: np.ndarray,
     b=None,
@@ -140,11 +123,11 @@ def check_transformation_invariance(
 ) -> float:
     """Deviation of VOM from exact conjugation under a response/time transform.
 
-    Transforms the curve and every reference curve by
+    Transforms the (N, m, p) batch of curves and every reference curve by
     ``T(x)(t_i) = f(t_{g(i)}) * A0 x(t_{g(i)}) + b``, recomputes VOM from
-    scratch, and returns ``max |VOM_transformed - A0 VOM A0^T|``. On uniform
-    grids with measure-preserving re-indexings (identity, reversal) the
-    deviation is at the level of solver tolerances.
+    scratch, and returns ``max |VOM_transformed - A0 VOM A0^T|`` over the
+    batch. On uniform grids with measure-preserving re-indexings (identity,
+    reversal) the deviation is at the level of solver tolerances.
 
     Args:
         a0: orthogonal (p, p) matrix.
@@ -152,8 +135,8 @@ def check_transformation_invariance(
         f: positive, finite scale values at the grid points, default all ones.
         g: integer permutation of grid indices, default identity.
     """
-    p = curve.p
-    m = curve.grid.m
+    p, grid = reference.p, reference.grid
+    m = grid.m
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (p, p) or not (np.max(np.abs(a0.T @ a0 - np.eye(p))) <= 1e-10):
         raise ValueError("a0 must be orthogonal (p x p)")
@@ -167,11 +150,9 @@ def check_transformation_invariance(
     if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(m)):
         raise ValueError("g must be a permutation of grid indices")
 
-    vom = summarize(curve, reference).vom
-    grid = curve.grid
-    t_curve = Curve(_apply_transform(curve.values, a0, b, f, perm), grid)
+    vom = summarize_values(values, reference).vom
     t_ref = FunctionalGroup.from_values(
         reference.label, _apply_transform(reference.values, a0, b, f, perm), grid
     )
-    t_vom = summarize(t_curve, t_ref).vom
+    t_vom = summarize_values(_apply_transform(values, a0, b, f, perm), t_ref).vom
     return float(np.max(np.abs(t_vom - a0 @ vom @ a0.T)))

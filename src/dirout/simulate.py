@@ -262,8 +262,7 @@ class GeneratorSpec:
     """What to simulate: dataset id, class, sample size, grid, and seed.
 
     ``include_noise=False`` emits the noiseless mean construction, which is
-    handy for diagnostics. ``data5_class0_range`` switches the level range of
-    the flat class in dataset 5 (default U(-2, 2)).
+    handy for diagnostics.
     """
 
     dataset: str
@@ -272,7 +271,6 @@ class GeneratorSpec:
     grid: Grid = field(default_factory=default_grid)
     seed: int = 0
     include_noise: bool = True
-    data5_class0_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
         ds = str(self.dataset).lower()
@@ -328,9 +326,8 @@ def _bivariate_mean(spec: GeneratorSpec, t: np.ndarray, rng) -> np.ndarray:
         return np.stack([np.tile(c1, (n, 1)), np.tile(c2, (n, 1))], axis=2)
     # dataset 5
     if spec.class_label == 0:
-        low, high = spec.data5_class0_range
-        u1 = rng.uniform(low, high, n)
-        u2 = rng.uniform(low, high, n)
+        u1 = rng.uniform(-2.0, 2.0, n)
+        u2 = rng.uniform(-2.0, 2.0, n)
         c1 = np.tile(u1[:, None], (1, t.size))
         c2 = np.tile(u2[:, None], (1, t.size))
     else:

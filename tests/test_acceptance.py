@@ -14,9 +14,9 @@ from scipy.integrate import quad
 
 import dirout
 from dirout.classify import METHODS
-from dirout.curves import Curve, FunctionalGroup, Grid, read_groups_csv, write_groups_csv
+from dirout.curves import FunctionalGroup, Grid, read_groups_csv, write_groups_csv
 from dirout.experiment import ExperimentSpec, run_experiment
-from dirout.outlyingness import check_transformation_invariance, summarize
+from dirout.outlyingness import check_transformation_invariance, summarize_values
 from dirout.robust import c_step, mcd_fit
 from dirout.simulate import (
     BivariateMaternCov,
@@ -60,14 +60,13 @@ def test_criterion_01_decomposition_identities():
             for _ in range(5):
                 if pairs >= 200:
                     break
-                curve = Curve(rng.normal(size=(50, p)), ref.grid)
-                s = summarize(curve, ref)
-                worst["eq"] = max(worst["eq"], abs(s.fo - float(s.mo @ s.mo) - s.vo))
-                worst["mat"] = max(
-                    worst["mat"], float(np.max(np.abs(s.fom - np.outer(s.mo, s.mo) - s.vom)))
-                )
-                worst["tr_fo"] = max(worst["tr_fo"], abs(s.fo - float(np.trace(s.fom))))
-                worst["tr_vo"] = max(worst["tr_vo"], abs(s.vo - float(np.trace(s.vom))))
+                values = rng.normal(size=(50, p))
+                s = summarize_values(values[None], ref)
+                mo, vo, fo, fom, vom = s.mo[0], s.vo[0], s.fo[0], s.fom[0], s.vom[0]
+                worst["eq"] = max(worst["eq"], abs(fo - float(mo @ mo) - vo))
+                worst["mat"] = max(worst["mat"], float(np.max(np.abs(fom - np.outer(mo, mo) - vom))))
+                worst["tr_fo"] = max(worst["tr_fo"], abs(fo - float(np.trace(fom))))
+                worst["tr_vo"] = max(worst["tr_vo"], abs(vo - float(np.trace(vom))))
                 pairs += 1
     elapsed = time.perf_counter() - t0
     ok = all(v <= 1e-9 for v in worst.values()) and elapsed < 10.0 and pairs >= 200
@@ -85,12 +84,12 @@ def test_criterion_02_vom_conjugation_invariance():
     for i in range(50):
         p = 2 if i % 2 == 0 else 3
         ref = random_reference(rng, n=15, m=50, p=p)
-        curve = Curve(rng.normal(size=(50, p)), ref.grid)
+        values = rng.normal(size=(50, p))
         a0 = random_orthogonal(rng, p)
         b = rng.normal(size=p)
         f = 1.0 + ref.grid.points
         g = np.arange(50) if i % 4 < 2 else np.arange(50)[::-1]
-        dev = check_transformation_invariance(curve, ref, a0, b=b, f=f, g=g)
+        dev = check_transformation_invariance(values[None], ref, a0, b=b, f=f, g=g)
         worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dirout import curves as curves_module
 from dirout.curves import (
-    Curve,
     FunctionalGroup,
     Grid,
     derivative_augment,
@@ -130,20 +129,7 @@ class TestDataModel:
         values = np.random.default_rng(6).normal(size=(3, 4, 2))
         grp = FunctionalGroup.from_values("g", values, uniform_grid(4))
         assert np.shares_memory(grp.values, values) and not grp.values.flags.writeable
-        assert [c.values.tolist() for c in grp.curves] == values.tolist()
-
-    def test_curve_shape_checks(self):
-        g = uniform_grid(4)
-        with pytest.raises(ValueError):
-            Curve(np.zeros((5, 1)), g)
-        with pytest.raises(ValueError):
-            Curve(np.array([[np.nan], [0.0], [0.0], [0.0]]), g)
-
-    def test_group_requires_common_grid(self):
-        c1 = Curve(np.zeros(4), uniform_grid(4))
-        c2 = Curve(np.zeros(5), uniform_grid(5))
-        with pytest.raises(ValueError):
-            FunctionalGroup("g", (c1, c2))
+        assert grp.values.tolist() == values.tolist()
 
 
 class TestCsv:

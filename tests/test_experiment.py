@@ -12,7 +12,6 @@ from dirout.experiment import (
     run_experiment,
 )
 from dirout.outlyingness import reference_frame
-from dirout.curves import Curve
 from dirout.simulate import GeneratorSpec, generate
 
 
@@ -46,12 +45,12 @@ class TestRunExperiment:
         for r in range(20):
             g0 = generate(GeneratorSpec("3", 0, 70, seed=1000 + 4 * r, grid=Grid(np.linspace(0, 1, 15))))
             g1 = generate(GeneratorSpec("3", 0, 70, seed=1001 + 4 * r, grid=Grid(np.linspace(0, 1, 15))))
-            g1 = FunctionalGroup("1", g1.curves)
+            g1 = FunctionalGroup.from_values("1", g1.values, g1.grid)
             model = train([g0, g1], "VOM", rng_seed=r)
             correct = 0
             for cls, seed in (("0", 1002 + 4 * r), ("1", 1003 + 4 * r)):
                 queries = generate(GeneratorSpec("3", 0, 50, seed=seed, grid=Grid(np.linspace(0, 1, 15))))
-                correct += sum(p.label == cls for p in predict_batch(model, queries))
+                correct += np.count_nonzero(predict_batch(model, queries).label == cls)
             rates.append(correct / 100)
         assert abs(np.mean(rates) - 0.5) <= 0.05
 
@@ -104,7 +103,7 @@ class TestRunExperiment:
         counts = [np.count_nonzero(record.label == truth) for record in records]
         # one record per (replicate, method), in that order
         assert rates.T.reshape(-1).tolist() == [c / truth.size for c in counts]
-        assert counts == [sum(p.label == t for p, t in zip(rec, truth)) for rec in records]
+        assert counts == [sum(p == t for p, t in zip(rec.label.tolist(), truth)) for rec in records]
         assert 0 < min(counts) < truth.size
 
     def test_method_failure_names_replicate(self, tmp_path):
@@ -189,8 +188,7 @@ class TestEmitDiagnostics:
         rng = np.random.default_rng(14)
         grid = Grid(np.linspace(0, 1, 8))
         ref = FunctionalGroup.from_values("r", rng.normal(size=(20, 8, 2)), grid)
-        med = Curve(reference_frame(ref).medians, grid)
-        grp = FunctionalGroup("q", (med,))
+        grp = FunctionalGroup.from_values("q", reference_frame(ref).medians[None], grid)
         out = tmp_path / "diag.csv"
         emit_diagnostics(grp, ref, out, curve_ids=["median"])
         line = out.read_text().strip().split("\n")[1]

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from dirout import curves
-from dirout.curves import Curve, FunctionalGroup, Grid
+from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import SingularScatterError
 from dirout.experiment import emit_diagnostics
 from dirout.outlyingness import (
     check_transformation_invariance,
     pointwise_outlyingness,
     reference_frame,
-    summarize,
     summarize_values,
 )
 from dirout.pointwise import geometric_medians_batch
+from dirout.simulate import GeneratorSpec, generate
 from oracles import mahalanobis_depth
 
 
@@ -32,14 +32,15 @@ def random_orthogonal(rng, p):
 
 
 def naive_summary(curve, reference):
-    """Independent double-loop recomputation of every summary quantity."""
+    """Independent double-loop recomputation of every summary quantity of
+    one curve's (m, p) values."""
     grid = reference.grid
     w = grid.weights
-    m, p = curve.m, curve.p
+    m, p = curve.shape
     o = np.zeros((m, p))
     for t in range(m):
         cloud = reference.values[:, t, :]
-        x = curve.values[t]
+        x = curve[t]
         med = geometric_medians_batch(cloud[:, None, :])[0]
         dist = np.linalg.norm(x - med)
         if dist >= 1e-12:
@@ -65,7 +66,7 @@ class TestPointwiseOutlyingness:
     def test_zero_at_the_pointwise_median(self):
         rng = np.random.default_rng(0)
         ref = random_group(rng)
-        median_curve = Curve(reference_frame(ref).medians, ref.grid)
+        median_curve = reference_frame(ref).medians[None]
         assert np.all(pointwise_outlyingness(median_curve, ref) == 0.0)
 
     def test_univariate_hand_case(self):
@@ -74,29 +75,29 @@ class TestPointwiseOutlyingness:
         ref = FunctionalGroup.from_values(
             "r", np.repeat(np.array([-1.0, 0.0, 1.0])[:, None, None], 5, axis=1), g
         )
-        o = pointwise_outlyingness(Curve(np.ones(5), g), ref)
+        o = pointwise_outlyingness(np.ones((1, 5, 1)), ref)
         assert np.allclose(o, 1.0, atol=1e-12)
 
     def test_norm_identity_with_pointwise_depth(self):
         rng = np.random.default_rng(1)
         ref = random_group(rng, p=3)
-        curve = Curve(rng.normal(size=(10, 3)), ref.grid)
-        o = pointwise_outlyingness(curve, ref)
+        curve = rng.normal(size=(10, 3))
+        o = pointwise_outlyingness(curve[None], ref)[0]
         for t in range(10):
-            d = mahalanobis_depth(curve.values[t], ref.values[:, t, :])
+            d = mahalanobis_depth(curve[t], ref.values[:, t, :])
             assert np.linalg.norm(o[t]) == pytest.approx(1.0 / d - 1.0, abs=1e-10)
 
     def test_orthogonal_shift_covariance(self):
         rng = np.random.default_rng(2)
         for p in (2, 3):
             ref = random_group(rng, p=p)
-            curve = Curve(rng.normal(size=(10, p)), ref.grid)
+            curve = rng.normal(size=(10, p))
             a0 = random_orthogonal(rng, p)
             b = rng.normal(size=p)
-            o = pointwise_outlyingness(curve, ref)
-            t_curve = Curve(curve.values @ a0.T + b, ref.grid)
+            o = pointwise_outlyingness(curve[None], ref)[0]
+            t_curve = curve @ a0.T + b
             t_ref = FunctionalGroup.from_values("r", ref.values @ a0.T + b, ref.grid)
-            o_t = pointwise_outlyingness(t_curve, t_ref)
+            o_t = pointwise_outlyingness(t_curve[None], t_ref)[0]
             assert np.max(np.abs(o_t - o @ a0.T)) < 1e-8
 
 
@@ -108,57 +109,55 @@ class TestSummaries:
         ref = FunctionalGroup.from_values(
             "r", shape[None, :, None] + offsets[:, None, None], g
         )
-        target = Curve(shape + 0.9, g)
-        s = summarize(target, ref)
-        assert s.vo == pytest.approx(0.0, abs=1e-9)
-        assert s.fo == pytest.approx(float(s.mo @ s.mo), abs=1e-9)
+        target = (shape + 0.9)[None, :, None]
+        s = summarize_values(target, ref)
+        assert s.vo[0] == pytest.approx(0.0, abs=1e-9)
+        assert s.fo[0] == pytest.approx(float(s.mo[0] @ s.mo[0]), abs=1e-9)
 
     def test_median_curve_summary_is_zero(self):
         rng = np.random.default_rng(3)
         ref = random_group(rng)
-        s = summarize(Curve(reference_frame(ref).medians, ref.grid), ref)
-        assert np.all(s.mo == 0.0) and s.vo == 0.0 and s.fo == 0.0
+        s = summarize_values(reference_frame(ref).medians[None], ref)
+        assert np.all(s.mo == 0.0) and s.vo[0] == 0.0 and s.fo[0] == 0.0
         assert np.all(s.fom == 0.0) and np.all(s.vom == 0.0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(4)
         ref = random_group(rng, n=20, m=10, p=2)
-        curve = Curve(rng.normal(size=(10, 2)), ref.grid)
-        s = summarize(curve, ref)
+        curve = rng.normal(size=(10, 2))
+        s = summarize_values(curve[None], ref)
         mo, vo, fo, fom, vom = naive_summary(curve, ref)
-        assert np.allclose(s.mo, mo, atol=1e-10)
-        assert s.vo == pytest.approx(vo, abs=1e-10)
-        assert s.fo == pytest.approx(fo, abs=1e-10)
-        assert np.allclose(s.fom, fom, atol=1e-10)
-        assert np.allclose(s.vom, vom, atol=1e-10)
+        assert np.allclose(s.mo[0], mo, atol=1e-10)
+        assert s.vo[0] == pytest.approx(vo, abs=1e-10)
+        assert s.fo[0] == pytest.approx(fo, abs=1e-10)
+        assert np.allclose(s.fom[0], fom, atol=1e-10)
+        assert np.allclose(s.vom[0], vom, atol=1e-10)
 
     def test_decomposition_identities_random_pairs(self):
         rng = np.random.default_rng(5)
         for p in (1, 2, 3):
             ref = random_group(rng, n=12, m=15, p=p)
             for _ in range(5):
-                curve = Curve(rng.normal(size=(15, p)), ref.grid)
-                s = summarize(curve, ref)
-                assert s.fo == pytest.approx(float(s.mo @ s.mo) + s.vo, abs=1e-9)
-                assert np.max(np.abs(s.fom - np.outer(s.mo, s.mo) - s.vom)) < 1e-9
-                assert s.fo == pytest.approx(float(np.trace(s.fom)), abs=1e-9)
-                assert s.vo == pytest.approx(float(np.trace(s.vom)), abs=1e-9)
+                s = summarize_values(rng.normal(size=(1, 15, p)), ref)
+                mo, vo, fo, fom, vom = s.mo[0], s.vo[0], s.fo[0], s.fom[0], s.vom[0]
+                assert fo == pytest.approx(float(mo @ mo) + vo, abs=1e-9)
+                assert np.max(np.abs(fom - np.outer(mo, mo) - vom)) < 1e-9
+                assert fo == pytest.approx(float(np.trace(fom)), abs=1e-9)
+                assert vo == pytest.approx(float(np.trace(vom)), abs=1e-9)
 
     def test_vom_positive_semidefinite(self):
         rng = np.random.default_rng(6)
         ref = random_group(rng, p=3)
         for _ in range(10):
-            curve = Curve(rng.normal(size=(10, 3)), ref.grid)
-            vom = summarize(curve, ref).vom
+            vom = summarize_values(rng.normal(size=(1, 10, 3)), ref).vom[0]
             assert np.linalg.eigvalsh(vom).min() >= -1e-10
 
     def test_univariate_vom_entry_equals_vo(self):
         rng = np.random.default_rng(7)
         ref = random_group(rng, p=1)
-        curve = Curve(rng.normal(size=(10, 1)), ref.grid)
-        s = summarize(curve, ref)
-        assert s.vom.shape == (1, 1) and s.fom.shape == (1, 1)
-        assert s.vom[0, 0] == s.vo
+        s = summarize_values(rng.normal(size=(1, 10, 1)), ref)
+        assert s.vom.shape == (1, 1, 1) and s.fom.shape == (1, 1, 1)
+        assert s.vom[0, 0, 0] == s.vo[0]
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(8)
@@ -166,23 +165,23 @@ class TestSummaries:
         values = rng.normal(size=(6, 10, 2))
         batch = summarize_values(values, reference_frame(ref))
         for i in range(6):
-            s = summarize(Curve(values[i], ref.grid), ref)
-            assert np.array_equal(batch.mo[i], s.mo)
-            assert batch.vo[i] == s.vo and batch.fo[i] == s.fo
+            s = summarize_values(values[i : i + 1], ref)
+            assert np.array_equal(batch.mo[i], s.mo[0])
+            assert batch.vo[i] == s.vo[0] and batch.fo[i] == s.fo[0]
 
 
 class TestTransformationInvariance:
     def test_identity_transform_deviation_zero(self):
         rng = np.random.default_rng(9)
         ref = random_group(rng, p=2)
-        curve = Curve(rng.normal(size=(10, 2)), ref.grid)
+        curve = rng.normal(size=(1, 10, 2))
         assert check_transformation_invariance(curve, ref, np.eye(2)) == 0.0
 
     def test_rotation_and_shift(self):
         rng = np.random.default_rng(10)
         for p in (2, 3):
             ref = random_group(rng, p=p)
-            curve = Curve(rng.normal(size=(10, p)), ref.grid)
+            curve = rng.normal(size=(1, 10, p))
             a0 = random_orthogonal(rng, p)
             dev = check_transformation_invariance(curve, ref, a0, b=rng.normal(size=p))
             assert dev <= 1e-8
@@ -190,17 +189,30 @@ class TestTransformationInvariance:
     def test_scaling_and_grid_reversal(self):
         rng = np.random.default_rng(11)
         ref = random_group(rng, p=2, m=12)
-        curve = Curve(rng.normal(size=(12, 2)), ref.grid)
+        curve = rng.normal(size=(1, 12, 2))
         a0 = random_orthogonal(rng, 2)
         f = 1.0 + ref.grid.points
         g = np.arange(12)[::-1]
         dev = check_transformation_invariance(curve, ref, a0, b=rng.normal(size=2), f=f, g=g)
         assert dev <= 1e-8
 
+    def test_batch_deviation_is_the_largest_single_one(self):
+        rng = np.random.default_rng(54)
+        ref = random_group(rng, p=2, m=12)
+        values = rng.normal(size=(4, 12, 2))
+        a0, b = random_orthogonal(rng, 2), rng.normal(size=2)
+        f, g = 1.0 + ref.grid.points, np.arange(12)[::-1]
+        singles = [
+            check_transformation_invariance(values[i : i + 1], ref, a0, b=b, f=f, g=g)
+            for i in range(4)
+        ]
+        assert check_transformation_invariance(values, ref, a0, b=b, f=f, g=g) == max(singles)
+        assert 0.0 < max(singles) <= 1e-8
+
     def test_rejects_non_orthogonal(self):
         rng = np.random.default_rng(12)
         ref = random_group(rng, p=2)
-        curve = Curve(rng.normal(size=(10, 2)), ref.grid)
+        curve = rng.normal(size=(1, 10, 2))
         for bad in (2.0, np.nan):
             with pytest.raises(ValueError, match="a0 must be orthogonal"):
                 check_transformation_invariance(curve, ref, np.array([[bad, 0.0], [0.0, 1.0]]))
@@ -208,7 +220,7 @@ class TestTransformationInvariance:
     def test_rejects_nonpositive_scale(self):
         rng = np.random.default_rng(13)
         ref = random_group(rng, p=2)
-        curve = Curve(rng.normal(size=(10, 2)), ref.grid)
+        curve = rng.normal(size=(1, 10, 2))
         for bad in (0.0, -1.0, np.nan, np.inf):
             f = np.ones(10)
             f[3] = bad
@@ -218,7 +230,7 @@ class TestTransformationInvariance:
     def test_rejects_bad_shift_and_permutation(self):
         rng = np.random.default_rng(13)
         ref = random_group(rng, p=2)
-        curve = Curve(rng.normal(size=(10, 2)), ref.grid)
+        curve = rng.normal(size=(1, 10, 2))
         for b in ([0.0, np.inf], [np.nan, 0.0], [0.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="b must be"):
                 check_transformation_invariance(curve, ref, np.eye(2), b=b)
@@ -231,11 +243,11 @@ class TestGroupStatistics:
     def test_requires_enough_curves(self):
         g = uniform_grid(5)
         grp = FunctionalGroup.from_values("r", np.random.default_rng(14).normal(size=(3, 5, 2)), g)
-        curve = Curve(np.zeros((5, 2)), g)
+        curve = np.zeros((1, 5, 2))
         for read in (
             lambda: grp.moments,
             lambda: grp.medians,
-            lambda: summarize(curve, grp),
+            lambda: summarize_values(curve, grp),
             lambda: reference_frame(grp),
         ):
             with pytest.raises(ValueError, match="needs at least p\\+2=4 curves, has 3"):
@@ -256,9 +268,9 @@ class TestGroupStatistics:
         monkeypatch.setattr(curves, "geometric_medians_batch", counting)
         rng = np.random.default_rng(15)
         grp = random_group(rng)
-        curve = Curve(rng.normal(size=(10, 2)), grp.grid)
+        curve = rng.normal(size=(1, 10, 2))
         for _ in range(2):
-            summarize(curve, grp)
+            summarize_values(curve, grp)
             pointwise_outlyingness(curve, grp)
             summarize_values(grp.values, grp)
             emit_diagnostics(grp, grp, tmp_path / "diag.csv")
@@ -266,7 +278,7 @@ class TestGroupStatistics:
         assert len(calls) == 1
         # nothing is kept outside the group: a new group of the same values computes anew
         again = FunctionalGroup.from_values(grp.label, grp.values, grp.grid)
-        summarize(curve, again)
+        summarize_values(curve, again)
         assert len(calls) == 2
         assert np.array_equal(again.medians, grp.medians)
 
@@ -277,10 +289,10 @@ class TestGroupStatistics:
         monkeypatch.setattr(curves, "geometric_medians_batch", fail)
         rng = np.random.default_rng(17)
         ref = random_group(rng, m=10, p=2)
-        other_grid = Curve(rng.normal(size=(11, 2)), uniform_grid(11))
-        other_p = Curve(rng.normal(size=(10, 3)), ref.grid)
+        other_grid = rng.normal(size=(1, 11, 2))
+        other_p = rng.normal(size=(1, 10, 3))
         for curve in (other_grid, other_p):
-            for fn in (summarize, pointwise_outlyingness):
+            for fn in (summarize_values, pointwise_outlyingness):
                 with pytest.raises(ValueError):
                     fn(curve, ref)
         out = tmp_path / "diag.csv"
@@ -293,9 +305,39 @@ class TestGroupStatistics:
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(16)
         ref = random_group(rng, m=10)
-        other = Curve(rng.normal(size=(11, 2)), uniform_grid(11))
+        other = rng.normal(size=(1, 11, 2))
         with pytest.raises(ValueError):
-            summarize(other, ref)
+            summarize_values(other, ref)
+
+    def test_values_checked_against_the_reference(self, monkeypatch):
+        # a p = 1 batch was broadcast against a p = 2 reference into a VO
+        # near 1e9, and a NaN gave NaN summaries; both raise now, before any
+        # statistic of the reference is computed
+        def fail(*args):
+            raise AssertionError("a reference statistic was computed")
+
+        rng = np.random.default_rng(53)
+        ref = generate(GeneratorSpec("4", 0, 100, seed=54))
+        good = rng.normal(size=(5, 50, 2))
+        with_nan, with_inf = good.copy(), good.copy()
+        with_nan[2, 7, 1], with_inf[0, 0, 0] = np.nan, -np.inf
+        monkeypatch.setattr(curves, "geometric_medians_batch", fail)
+        monkeypatch.setattr(curves, "pointwise_moments", fail)
+        for values in (good[..., :1], good[:, :49], good[0], good[None]):
+            for fn in (summarize_values, pointwise_outlyingness):
+                with pytest.raises(ValueError, match=r"expected \(N, 50, 2\) values"):
+                    fn(values, ref)
+            with pytest.raises(ValueError, match=r"expected \(N, 50, 2\) values"):
+                check_transformation_invariance(values, ref, np.eye(2))
+        for values in (with_nan, with_inf):
+            for fn in (summarize_values, pointwise_outlyingness):
+                with pytest.raises(ValueError, match="curve values must be finite"):
+                    fn(values, ref)
+            with pytest.raises(ValueError, match="curve values must be finite"):
+                check_transformation_invariance(values, ref, np.eye(2))
+        monkeypatch.undo()
+        assert pointwise_outlyingness(good, ref).shape == (5, 50, 2)
+        assert np.isfinite(summarize_values(good.tolist(), ref).vo).all()
 
 
 def growth_group(rng, label, n=30, m=12, p=2, shift=0.0):
@@ -319,12 +361,12 @@ class TestZeroScatterPoints:
         np.testing.assert_allclose(w[~flat], ref.grid.weights[~flat] / ref.grid.weights[~flat].sum())
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
-        curve = Curve(rng.normal(size=(ref.grid.m, 2)), ref.grid)
-        o = pointwise_outlyingness(curve, ref)
+        curve = rng.normal(size=(1, ref.grid.m, 2))
+        o = pointwise_outlyingness(curve, ref)[0]
         assert np.all(o[flat] == 0.0) and np.all(np.isfinite(o))
-        s = summarize(curve, ref)
-        assert s.fo == pytest.approx(np.sum(w * np.einsum("mi,mi->m", o, o)), rel=1e-12)
-        assert s.mo == pytest.approx(w @ o, rel=1e-12)
+        s = summarize_values(curve, ref)
+        assert s.fo[0] == pytest.approx(np.sum(w * np.einsum("mi,mi->m", o, o)), rel=1e-12)
+        assert s.mo[0] == pytest.approx(w @ o, rel=1e-12)
 
     def test_without_flat_points_the_grid_weights_are_kept(self):
         ref = random_group(np.random.default_rng(19))

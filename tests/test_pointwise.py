@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dirout import pointwise
-from dirout.classify import ClassifierConfig, predict, predict_batch, train
-from dirout.curves import Curve, FunctionalGroup, Grid
+from dirout.classify import ClassifierConfig, predict_batch, train
+from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
 from dirout.outlyingness import reference_frame, squared_mahalanobis
 from dirout.pointwise import geometric_medians_batch, pointwise_moments, quadratic_forms
@@ -33,7 +33,7 @@ def depth(method, x, cloud, config=None):
     grp = cloud_group(cloud)
     model = train([grp, cloud_group(grp.values[:, 0] + 1.0, "other")], method, config)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return predict(model, Curve(np.tile(x, (M, 1)), grp.grid)).scores[0]
+    return predict_batch(model, cloud_group([x], "x")).scores[0, 0]
 
 
 def count_depth(x, cloud):
@@ -68,9 +68,9 @@ class TestMahalanobisDepth:
     def test_range(self):
         rng = np.random.default_rng(2)
         groups = [cloud_group(rng.normal(size=(20, 2)), k) for k in "ab"]
-        queries = [Curve(np.tile(rng.normal(scale=5, size=2), (M, 1)), grid()) for _ in range(50)]
-        for pred in predict_batch(train(groups, "FM2"), queries):
-            assert np.all((0.0 < pred.scores) & (pred.scores <= 1.0))
+        queries = cloud_group([rng.normal(scale=5, size=2) for _ in range(50)], "q")
+        scores = predict_batch(train(groups, "FM2"), queries).scores
+        assert np.all((0.0 < scores) & (scores <= 1.0))
 
     def test_zero_scatter_raises(self):
         grp = cloud_group(np.zeros((5, 2)))
@@ -119,7 +119,7 @@ class TestRandomTukeyDepth:
         # and hence the integrated depth can only fall as k grows
         rng = np.random.default_rng(6)
         groups = [FunctionalGroup.from_values(k, rng.normal(size=(40, M, 3)), grid()) for k in "ab"]
-        x = Curve(rng.normal(size=(M, 3)), grid())
+        x = FunctionalGroup.from_values("x", rng.normal(size=(1, M, 3)), grid())
         models = [
             train(groups, "FM1", ClassifierConfig(tukey_n_dirs=k), rng_seed=7)
             for k in (1, 5, 20, 100, 400)
@@ -127,7 +127,7 @@ class TestRandomTukeyDepth:
         for small, large in zip(models, models[1:]):
             k = small.state[0].shape[0]
             assert np.array_equal(large.state[0][:k], small.state[0])
-        depths = [predict(model, x).scores[0] for model in models]
+        depths = [predict_batch(model, x).scores[0, 0] for model in models]
         assert all(a >= b for a, b in zip(depths, depths[1:]))
 
 

@@ -165,13 +165,11 @@ class TestGenerate:
             assert np.array_equal(a.values, b.values)
             assert a.p == p and a.n == 7
 
-    def test_data5_level_range_switch(self):
-        narrow = GeneratorSpec("5", 0, 400, seed=20, include_noise=False,
-                               data5_class0_range=(-1.5, 1.5))
-        levels = generate(narrow).values[:, 0, :]
-        assert np.abs(levels).max() <= 1.5
-        wide = GeneratorSpec("5", 0, 400, seed=20, include_noise=False)
-        assert np.abs(generate(wide).values[:, 0, :]).max() > 1.5
+    def test_data5_class0_levels_span_minus_two_to_two(self):
+        spec = GeneratorSpec("5", 0, 400, seed=20, include_noise=False)
+        levels = np.abs(generate(spec).values[:, 0, :])
+        assert levels.max() <= 2.0
+        assert levels.max() > 1.5
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
