@@ -41,9 +41,7 @@ from .outlyingness import (
 from .pointwise import geometric_medians_batch
 from .robust import McdFit, c_step, consistency_factor, default_h, mcd_fit, rmd
 from .simulate import (
-    BivariateMaternCov,
     GeneratorSpec,
-    SquaredExponentialCov,
     bessel_k,
     default_grid,
     derivative_dataset,

@@ -96,8 +96,6 @@ class TrainedModel:
     method: str
     labels: tuple[str, ...]
     groups: tuple[FunctionalGroup, ...]
-    config: ClassifierConfig
-    seed: int
     state: object
 
     @property
@@ -245,9 +243,8 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
     for g in groups[1:]:
         if not g.grid.same_points(grid) or g.p != p:
             raise ValueError("all groups must share grid and dimension")
-    config = config or ClassifierConfig()
-    state = _METHODS[method].fit(groups, config, rng_seed)
-    return TrainedModel(method, labels, groups, config, rng_seed, state)
+    state = _METHODS[method].fit(groups, config or ClassifierConfig(), rng_seed)
+    return TrainedModel(method, labels, groups, state)
 
 
 def _frames(groups, config, seed) -> tuple[FunctionalGroup, ...]:

@@ -209,6 +209,8 @@ def _read_header(reader) -> int:
         header = next(reader)
     except StopIteration:
         raise CsvFormatError("empty file") from None
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise CsvFormatError(str(exc), row=1) from None
     header = [h.strip() for h in header]
     if header[:3] != ["curve_id", "group", "t"]:
         raise CsvFormatError(
@@ -289,9 +291,11 @@ def _record_rows(reader, p: int):
     ``(rows, starts, curves)`` with the (N, 1 + p) values of t, c1..cp, each
     curve's first row and a dict curve id -> group in file order.
 
-    Blank records are skipped. A record is checked for its field count, then
-    for numbers, then for finite ones, then for its curve (contiguous rows,
-    one group) and last for a t above the t before it in its curve.
+    Blank records are skipped. A record that ``csv.reader`` refuses, such as
+    one with a field longer than ``csv.field_size_limit()``, fails first. A
+    record is then checked for its field count, then for numbers, then for
+    finite ones, then for its curve (contiguous rows, one group) and last for
+    a t above the t before it in its curve.
 
     Raises:
         CsvFormatError: for the first record that fails a check, with its number.
@@ -300,7 +304,15 @@ def _record_rows(reader, p: int):
     starts: list[int] = []
     curves: dict[str, str] = {}  # curve id -> group, in file order
     cid = label = None
-    for rownum, row in enumerate(reader, start=2):
+    records = enumerate(reader, start=2)
+    rownum = 1
+    while True:
+        try:
+            rownum, row = next(records)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise CsvFormatError(str(exc), row=rownum + 1) from None
         if len(row) != 3 + p:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

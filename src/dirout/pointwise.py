@@ -19,6 +19,10 @@ __all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "geometri
 RIDGE_EPS = 1e-10
 COND_LIMIT = 1e12
 
+# Weiszfeld's step tolerance (times the data scale) and iteration cap
+_TOL = 1e-12
+_MAX_ITER = 2000
+
 
 class PointwiseMoments(NamedTuple):
     """Point-wise means and ridged inverse covariances of a reference group.
@@ -155,20 +159,18 @@ def _newton_finish(points, z, cols, rejected, floor, radius, tol):
     return None
 
 
-def geometric_medians_batch(
-    points: np.ndarray, tol: float = 1e-12, max_iter: int = 2000
-) -> np.ndarray:
+def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
     """Geometric medians of B clouds at once: points is (n, B, d), result (B, d).
 
     Used for per-gridpoint medians of a reference group, iterating every grid
-    point jointly. d=1 columns reduce to the sample median. The tolerance is
-    relative to the data scale. Weiszfeld slows to a crawl when the median
-    sits on a data point, so columns whose iterate approaches a point run the
-    exact vertex optimality test and snap to it when it is the median. The
-    test depends only on the column and the vertex, so each pair is tested
-    once: a rejected vertex is remembered and not tested again.
+    point jointly. d=1 columns reduce to the sample median. The tolerance
+    _TOL is relative to the data scale. Weiszfeld slows to a crawl when the
+    median sits on a data point, so columns whose iterate approaches a point
+    run the exact vertex optimality test and snap to it when it is the
+    median. The test depends only on the column and the vertex, so each pair
+    is tested once: a rejected vertex is remembered and not tested again.
 
-    When max_iter iterations end with some columns still stepping more than
+    When _MAX_ITER iterations end with some columns still stepping more than
     1e-9 x scale, those columns usually sit just off a rejected vertex, where
     Weiszfeld crawls; they are finished with Newton steps (see
     _newton_finish). Columns that converge without them are untouched.
@@ -188,7 +190,7 @@ def geometric_medians_batch(
     done = np.zeros(B, dtype=bool)
     rejected = np.zeros((n, B), dtype=bool)  # (vertex, column): not the median
     steps = np.full(B, np.inf)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         dist = _distances(points, z)  # (n, B)
         kmin = dist.argmin(axis=0)
         near = dist[kmin, cols] < check_radius
@@ -209,15 +211,15 @@ def geometric_medians_batch(
         z_new[done] = z[done]
         steps = np.linalg.norm(z_new - z, axis=1)
         z = z_new
-        if steps.max() <= tol * scale:
+        if steps.max() <= _TOL * scale:
             return z
     if steps.max() <= 1e-9 * scale:
         return z
     stalled = np.flatnonzero(steps > 1e-9 * scale)
-    finished = _newton_finish(points, z, stalled, rejected, floor, check_radius, tol * scale)
+    finished = _newton_finish(points, z, stalled, rejected, floor, check_radius, _TOL * scale)
     if finished is None:
         raise ConvergenceError(
-            f"batch geometric median did not converge in {max_iter} iterations",
+            f"batch geometric median did not converge in {_MAX_ITER} iterations",
             last_iterate=z,
         )
     return finished

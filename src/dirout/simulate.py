@@ -10,6 +10,7 @@ see Abramowitz & Stegun 9.6 for the series).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,6 @@ from .curves import FunctionalGroup, Grid, derivative_augment
 from .errors import InvalidCovarianceError, UnsupportedParameterError
 
 __all__ = [
-    "SquaredExponentialCov",
-    "BivariateMaternCov",
     "GeneratorSpec",
     "DATASETS",
     "default_grid",
@@ -180,41 +179,25 @@ def matern_matrix(dists: np.ndarray, nu: float, alpha: float) -> np.ndarray:
 # Gaussian process sampling
 
 
-@dataclass(frozen=True)
-class SquaredExponentialCov:
-    """cov(s, t) = variance * exp(-((s - t) / lengthscale)^2)."""
+def joint_covariance(grid: Grid, p: int) -> np.ndarray:
+    """Joint covariance of the benchmark noise over the grid.
 
-    variance: float = 0.25
-    lengthscale: float = 1.0
-
-
-@dataclass(frozen=True)
-class BivariateMaternCov:
-    """Bivariate Matern cross-covariance: rho_ij sigma_i sigma_j M(|s-t|; nu_ij, alpha_ij)."""
-
-    sigma1: float = 0.01
-    sigma2: float = 0.01
-    nu11: float = 2.0
-    nu22: float = 2.0
-    nu12: float = 2.0
-    alpha11: float = 0.2
-    alpha22: float = 0.1
-    alpha12: float = 0.16
-    rho12: float = 0.6
-
-
-def joint_covariance(cov, grid: Grid) -> np.ndarray:
-    """Joint covariance of the process over the grid: (m, m) or (2m, 2m)."""
+    p = 1: the squared-exponential process 0.25 exp(-(s - t)^2), (m, m).
+    p = 2: the bivariate Matern cross-covariance rho_ij sigma_i sigma_j
+    M(|s - t|; nu_ij, alpha_ij) with sigma = 0.01, nu = 2, alpha = (0.2, 0.1)
+    on the diagonal blocks, alpha = 0.16 and rho = 0.6 on the cross block,
+    (2m, 2m).
+    """
     t = grid.points
     dists = np.abs(t[:, None] - t[None, :])
-    if isinstance(cov, SquaredExponentialCov):
-        return cov.variance * np.exp(-((dists / cov.lengthscale) ** 2))
-    if isinstance(cov, BivariateMaternCov):
-        block11 = cov.sigma1**2 * matern_matrix(dists, cov.nu11, cov.alpha11)
-        block22 = cov.sigma2**2 * matern_matrix(dists, cov.nu22, cov.alpha22)
-        cross = cov.rho12 * cov.sigma1 * cov.sigma2 * matern_matrix(dists, cov.nu12, cov.alpha12)
+    if p == 1:
+        return 0.25 * np.exp(-(dists**2))
+    if p == 2:
+        block11 = 0.01**2 * matern_matrix(dists, 2.0, 0.2)
+        block22 = 0.01**2 * matern_matrix(dists, 2.0, 0.1)
+        cross = 0.6 * 0.01 * 0.01 * matern_matrix(dists, 2.0, 0.16)
         return np.block([[block11, cross], [cross, block22]])
-    raise TypeError(f"unknown covariance spec: {type(cov).__name__}")
+    raise ValueError(f"the benchmark noise has p = 1 or 2, got {p!r}")
 
 
 def cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
@@ -233,24 +216,24 @@ def cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
     raise InvalidCovarianceError("covariance not positive definite after jitter escalation")
 
 
-def _draw_gp(cov, grid: Grid, n: int, rng) -> np.ndarray:
-    """Draw n zero-mean curves: (n, m, 1) for scalar covs, (n, m, 2) for bivariate."""
-    joint = joint_covariance(cov, grid)
+def _draw_gp(grid: Grid, n: int, p: int, rng) -> np.ndarray:
+    """Draw n zero-mean (n, m, p) curves of the benchmark noise."""
+    joint = joint_covariance(grid, p)
     factor = cholesky_with_jitter(joint)
     z = rng.standard_normal((n, joint.shape[0]))
     flat = z @ factor.T
     m = grid.m
-    if joint.shape[0] == m:
+    if p == 1:
         return flat[:, :, None]
     return np.stack([flat[:, :m], flat[:, m:]], axis=2)
 
 
-def sample_gp(cov, grid: Grid, n: int, seed: int = 0, label: str = "gp") -> FunctionalGroup:
-    """Sample n zero-mean Gaussian curves with the given (cross-)covariance."""
+def sample_gp(grid: Grid, n: int, p: int, seed: int = 0) -> FunctionalGroup:
+    """Sample n zero-mean curves of the benchmark noise for p = 1 or 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = _draw_gp(cov, grid, n, np.random.default_rng(seed))
-    return FunctionalGroup.from_values(label, values, grid)
+    values = _draw_gp(grid, n, p, np.random.default_rng(seed))
+    return FunctionalGroup.from_values("gp", values, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +260,16 @@ class GeneratorSpec:
         if ds not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}; choose from {DATASETS}")
         object.__setattr__(self, "dataset", ds)
+        for name in ("class_label", "n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.class_label not in (0, 1):
             raise ValueError("class_label must be 0 or 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _univariate_mean(spec: GeneratorSpec, t: np.ndarray, rng) -> np.ndarray:
@@ -345,11 +334,11 @@ def generate(spec: GeneratorSpec) -> FunctionalGroup:
     if spec.dataset in UNIVARIATE:
         values = _univariate_mean(spec, t, rng)[:, :, None]
         if spec.include_noise:
-            values = values + _draw_gp(SquaredExponentialCov(), spec.grid, spec.n, rng)
+            values = values + _draw_gp(spec.grid, spec.n, 1, rng)
     elif spec.dataset in ("4", "5"):
         values = _bivariate_mean(spec, t, rng)
         if spec.include_noise:
-            values = values + _draw_gp(BivariateMaternCov(), spec.grid, spec.n, rng)
+            values = values + _draw_gp(spec.grid, spec.n, 2, rng)
     else:  # dataset 6 stacks the three univariate settings, drawn independently
         child_seeds = np.random.SeedSequence(spec.seed).generate_state(3)
         parts = []

@@ -19,7 +19,6 @@ from dirout.experiment import ExperimentSpec, run_experiment
 from dirout.outlyingness import check_transformation_invariance, summarize_values
 from dirout.robust import c_step, mcd_fit
 from dirout.simulate import (
-    BivariateMaternCov,
     GeneratorSpec,
     bessel_k,
     default_grid,
@@ -162,7 +161,7 @@ def test_criterion_04_bessel_and_matern_accuracy():
 
 
 def test_criterion_05_gp_sampler_statistics():
-    grp = sample_gp(BivariateMaternCov(), default_grid(), n=5000, seed=SEED + 3)
+    grp = sample_gp(default_grid(), n=5000, p=2, seed=SEED + 3)
     var = grp.values.var(axis=0, ddof=1)  # (m, 2)
     sigma2 = np.array([0.01**2, 0.01**2])
     rel = np.max(np.abs(var - sigma2[None, :]) / sigma2[None, :])

@@ -264,6 +264,39 @@ class TestCsv:
         assert str(exc.value) == "row 3: t values of curve 'c0' not increasing"
 
     @pytest.mark.parametrize(
+        "text, row",
+        [
+            pytest.param("curve_id,group,t,{long}\nc0,a,0.0,1.0\nc0,a,1.0,1.0\n", 1, id="header"),
+            pytest.param(
+                "curve_id,group,t,c1\n{long},a,0.0,1.0\n{long},a,1.0,1.0\n", 2, id="curve-ids"
+            ),
+            pytest.param(
+                "curve_id,group,t,c1\nc0,a,0.0,1.0\n\nc0,{long},1.0,1.0\n", 4, id="group"
+            ),
+            # a file that loadtxt refuses is read by the record pass, which
+            # refuses an overlong number as well
+            pytest.param(
+                "curve_id,group,t,c1\nc0,a,0.0,1.{zeros}\nc0,a,1.0,1_0\n", 2, id="number"
+            ),
+        ],
+    )
+    def test_overlong_field_reported_with_its_record(self, tmp_path, text, row):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(text.format(long="x" * (limit + 1), zeros="0" * limit))
+        with pytest.raises(CsvFormatError) as exc:
+            read_groups_csv(path)
+        assert str(exc.value) == f"row {row}: field larger than field limit ({limit})"
+
+    def test_loadtxt_reads_an_overlong_number(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            f"curve_id,group,t,c1\nc0,a,0.0,1.{'0' * csv.field_size_limit()}\nc0,a,1.0,2.0\n"
+        )
+        groups, _ = read_groups_csv(path)
+        assert np.array_equal(groups["a"].values[0, :, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("", "empty file"),

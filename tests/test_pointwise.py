@@ -168,11 +168,13 @@ class TestGeometricMedian:
         med_t = median_of(cloud @ q.T + b)
         assert np.allclose(med_t, q @ med + b, atol=1e-6)
 
-    def test_convergence_error_carries_iterate(self):
+    def test_convergence_error_carries_iterate(self, monkeypatch):
         rng = np.random.default_rng(10)
         cloud = rng.normal(size=(30, 2))
+        monkeypatch.setattr(pointwise, "_TOL", 0.0)
+        monkeypatch.setattr(pointwise, "_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as exc:
-            geometric_medians_batch(cloud[:, None, :], tol=0.0, max_iter=3)
+            geometric_medians_batch(cloud[:, None, :])
         assert exc.value.last_iterate.shape == (1, 2)
 
 

@@ -7,9 +7,7 @@ from scipy.integrate import quad
 from dirout.curves import Grid, integrate
 from dirout.errors import UnsupportedParameterError
 from dirout.simulate import (
-    BivariateMaternCov,
     GeneratorSpec,
-    SquaredExponentialCov,
     bessel_k,
     default_grid,
     derivative_dataset,
@@ -91,11 +89,28 @@ class TestMatern:
 class TestJointCovariance:
     def test_symmetric_and_psd_after_jitter(self):
         grid = default_grid()
-        for cov in (SquaredExponentialCov(), BivariateMaternCov()):
-            mat = joint_covariance(cov, grid)
+        for p in (1, 2):
+            mat = joint_covariance(grid, p)
             assert np.max(np.abs(mat - mat.T)) < 1e-14
             jitter = 1e-7 * np.max(np.diag(mat))
             np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))  # must not raise
+
+    def test_noise_constants_at_zero_lag(self):
+        grid = default_grid()
+        m = grid.m
+        se = joint_covariance(grid, 1)
+        assert se.shape == (m, m)
+        assert np.all(np.diag(se) == 0.25)
+        bm = joint_covariance(grid, 2)
+        assert bm.shape == (2 * m, 2 * m)
+        assert np.all(np.diag(bm) == 0.01**2)
+        assert np.all(np.diag(bm[:m, m:]) == 0.6 * 0.01 * 0.01)
+        assert np.all(np.diag(bm[m:, :m]) == 0.6 * 0.01 * 0.01)
+
+    def test_other_dimensions_rejected(self):
+        for p in (0, 3):
+            with pytest.raises(ValueError):
+                joint_covariance(default_grid(), p)
 
     def test_matern_matrix_matches_scalar(self):
         d = np.array([[0.0, 0.3], [0.3, 1.2]])
@@ -108,21 +123,21 @@ class TestJointCovariance:
 class TestSampleGp:
     def test_squared_exponential_pointwise_variance(self):
         grid = default_grid()
-        grp = sample_gp(SquaredExponentialCov(), grid, n=5000, seed=0)
+        grp = sample_gp(grid, n=5000, p=1, seed=0)
         var = grp.values[:, :, 0].var(axis=0, ddof=1)
         assert np.all(np.abs(var - 0.25) < 0.02)
 
     def test_bivariate_cross_correlation(self):
         grid = default_grid()
-        grp = sample_gp(BivariateMaternCov(), grid, n=5000, seed=1)
+        grp = sample_gp(grid, n=5000, p=2, seed=1)
         c1, c2 = grp.values[:, :, 0], grp.values[:, :, 1]
         corr = np.array([np.corrcoef(c1[:, t], c2[:, t])[0, 1] for t in range(grid.m)])
         assert np.all(np.abs(corr - 0.6) < 0.05)
 
     def test_seed_determinism(self):
         grid = default_grid()
-        a = sample_gp(SquaredExponentialCov(), grid, n=4, seed=9)
-        b = sample_gp(SquaredExponentialCov(), grid, n=4, seed=9)
+        a = sample_gp(grid, n=4, p=1, seed=9)
+        b = sample_gp(grid, n=4, p=1, seed=9)
         assert np.array_equal(a.values, b.values)
 
 
@@ -176,6 +191,30 @@ class TestGenerate:
             GeneratorSpec("9", 0, 5)
         with pytest.raises(ValueError):
             GeneratorSpec("1", 2, 5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("class_label", True),
+            ("class_label", 1.0),
+            ("n", True),
+            ("n", 5.0),
+            ("seed", False),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("seed", -1),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        args = {"class_label": 1, "n": 5, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            GeneratorSpec("4", **args)
+
+    def test_numpy_integers_are_integers(self):
+        spec = GeneratorSpec("4", np.int64(1), np.int64(5), seed=np.uint32(1))
+        grp = generate(spec)
+        assert grp.label == "1"
+        assert np.array_equal(grp.values, generate(GeneratorSpec("4", 1, 5, seed=1)).values)
 
 
 class TestDerivativeDataset:
