@@ -1,6 +1,7 @@
 """Point-wise building blocks across the grid: random unit directions for
 random Tukey depth, the moments and geometric medians that ``FunctionalGroup``
-computes once per group, and the kernel of every squared Mahalanobis distance.
+computes once per group, the kernel of every squared Mahalanobis distance,
+and the small-matrix determinants and inverses of FAST-MCD.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularScatterError
 
-__all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "geometric_medians_batch",
+__all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "det_inv", "geometric_medians_batch",
            "random_unit_directions"]
 
 # Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
@@ -83,6 +84,58 @@ def quadratic_forms(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
         term *= diff[j]
         total += term
     return total
+
+
+def _minor(mats: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> np.ndarray:
+    """Determinants of the rows x cols submatrices, expanded along their
+    first row, signed terms added left to right; memo holds one call's."""
+    if not rows:
+        return 1.0
+    if len(rows) == 1:
+        return mats[..., min(rows[0], cols[0]), max(rows[0], cols[0])]
+    if (rows, cols) not in memo:
+        total = None
+        for k, c in enumerate(cols):
+            term = _minor(mats, rows[:1], (c,), memo) * _minor(mats, rows[1:], cols[:k] + cols[k + 1:], memo)
+            total = term if total is None else total - term if k % 2 else total + term
+        memo[rows, cols] = total
+    return memo[rows, cols]
+
+
+def det_inv(mats: np.ndarray):
+    """Determinants and inverses of stacked symmetric (..., d, d) matrices:
+    (...), (..., d, d). Only the upper triangle is read.
+
+    For d <= 4 both are fixed-order cofactor formulas in elementwise numpy,
+    so a matrix's bits depend neither on the stack nor on the BLAS: the
+    adjugate for i <= j, mirrored, over the determinant along row 0
+    (non-finite where that is 0). A larger d takes LAPACK, with nan inverses
+    where its determinant is 0.
+    """
+    d = mats.shape[-1]
+    if d > 4:
+        det = np.linalg.det(mats)
+        inv = np.full(mats.shape, np.nan)
+        nonzero = det != 0.0
+        inv[nonzero] = np.linalg.inv(mats[nonzero])
+        return det, inv
+    full = tuple(range(d))
+    memo = {}
+    adj = {}
+    for i in full:
+        for j in full[i:]:
+            m = _minor(mats, full[:j] + full[j + 1:], full[:i] + full[i + 1:], memo)
+            adj[i, j] = -m if (i + j) % 2 else m
+    det = None
+    for j in full:
+        term = mats[..., 0, j] * adj[0, j]
+        det = term if det is None else det + term
+    inv = np.empty(mats.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (i, j), a in adj.items():
+            np.divide(a, det, out=inv[..., i, j])
+            inv[..., j, i] = inv[..., i, j]
+    return det, inv
 
 
 def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:

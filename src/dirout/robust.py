@@ -13,6 +13,8 @@ in its final fits alike. A step keeps
 the h points closest under the subset's fit; among points tied in distance at
 the cut it keeps the lower indices, the choice of a stable sort. One
 generator draws the starts: each is the d + 1 smallest of one row of keys.
+At d <= 4 no BLAS or LAPACK call runs (see ``pointwise.det_inv``), and the
+fit runs on the data scaled exactly by a power of two taken from its spread.
 
 The consistency factor needs the chi-square CDF and quantile at integer
 degrees of freedom only, which are computed here with the standard library:
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
-from .pointwise import quadratic_forms
+from .pointwise import det_inv, quadratic_forms
 
 __all__ = ["McdFit", "mcd_fit", "rmd", "default_h", "c_step", "consistency_factor"]
 
@@ -120,8 +122,8 @@ def consistency_factor(h: int, n: int, d: int) -> float:
 
 
 def _subset_fits(points: np.ndarray, subsets: np.ndarray):
-    """Means, covariances (divisor k) and determinants of S index subsets of
-    equal size k: (S, k) -> (S, d), (S, d, d), (S,).
+    """Means, covariances (divisor k), determinants and inverses of S index
+    subsets of equal size k: (S, k) -> (S, d), (S, d, d), (S,), (S, d, d).
 
     Each row is summed in sorted index order, so a fit depends on the set of
     indices and not on the order they are listed in; otherwise the rounding
@@ -132,28 +134,27 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     Every row is computed, repeats too; the screening passes each distinct
     row once, to its steps and to its final fits (see ``_distinct_rows``).
 
-    The points are gathered with ``np.take`` into a C-ordered (S, k, d)
-    stack whatever the layout of ``points``. For d >= 2 the means reduce a
-    second, (k, S, d) gather over its leading axis: both that and the (S, k,
-    d) stack's reduce over k add the k points one after another, in sorted
-    index order, but the leading axis runs over contiguous (S, d) rows. At
-    d = 1 numpy reduces the (S, k, 1) stack over k as its innermost axis,
-    pairwise, as the one-subset ``mean(axis=0)`` of k values does, while a
-    (k, S, 1) reduce would add the points one after another for S > 1 and
-    pairwise for S = 1; so d = 1 keeps the (S, k, 1) reduce, which is fast
-    there as well.
+    The points are gathered into a (d, k, S) stack whatever the layout of
+    ``points``. Each mean and each covariance entry (i <= j) reduces a (k, S)
+    block over k, which numpy does one point after another along contiguous
+    rows; it would sum a (k, 1) block pairwise, so a one-row stack is
+    computed as two equal rows.
     """
     ascending = np.all(subsets[:, 1:] > subsets[:, :-1])
     order = subsets if ascending else np.sort(subsets, axis=1)
-    sel = np.take(points, order, axis=0)
-    if points.shape[1] == 1:
-        loc = sel.mean(axis=1)  # pairwise over k, as the one-subset mean; see above
-    else:
-        loc = np.take(points, order.T, axis=0).mean(axis=0)
-    diff = sel - loc[:, None, :]
-    # a stacked matmul reproduces the bits of the one-subset ``diff.T @ diff``
-    cov = np.matmul(diff.transpose(0, 2, 1), diff) / subsets.shape[1]
-    return loc, cov, np.linalg.det(cov)
+    s = len(order)
+    index = order.T if s != 1 else np.repeat(order.T, 2, axis=1)  # a one-row stack as two rows
+    sel = np.take(np.ascontiguousarray(points.T), index, axis=1)
+    loc = sel.mean(axis=1)
+    sel -= loc[:, None, :]
+    d, k, _ = sel.shape
+    cov = np.empty((s, d, d))
+    prod = np.empty(sel.shape[1:])
+    for i in range(d):
+        for j in range(i, d):
+            np.multiply(sel[i], sel[j], out=prod)
+            cov[:, i, j] = cov[:, j, i] = prod.sum(axis=0)[:s] / k
+    return (loc[:, :s].T, cov, *det_inv(cov))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -192,15 +193,21 @@ def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
 
     Of entries tied at the h-th smallest value the lower indices are kept,
     and nan counts as larger than any number: the first h of a stable sort.
+    Only rows with more than h entries at or below their h-th smallest value
+    (ties at the cut), or none (a nan h-th smallest), take the stable sort.
     """
-    nearest = np.argpartition(d2, h - 1, axis=1)[:, :h]
-    kth = d2[np.arange(len(d2)), nearest[:, -1], None]
-    # argpartition keeps an arbitrary few of the entries tied with the h-th
-    # smallest; only such rows (and a nan h-th smallest) need the stable sort
-    tied = (d2 <= kth).sum(axis=1) != h
-    if tied.any():
-        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :h]
-    nearest.sort(axis=1)
+    s, n = d2.shape
+    kth = np.partition(d2, h - 1, axis=1)[:, h - 1, None]
+    within = d2 <= kth
+    flat = np.flatnonzero(within)
+    # with no nan h-th smallest every row holds at least h entries
+    tied = np.zeros(s, dtype=bool)
+    if len(flat) != s * h or np.isnan(kth).any():
+        tied = np.count_nonzero(within, axis=1) != h
+        flat = np.flatnonzero(within[~tied])
+    nearest = np.empty((s, h), dtype=np.intp)
+    nearest[~tied] = flat.reshape(-1, h) - np.arange(0, len(flat) // h * n, n)[:, None]
+    nearest[tied] = np.sort(np.argsort(d2[tied], axis=1, kind="stable")[:, :h], axis=1)
     return nearest
 
 
@@ -218,12 +225,13 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     in any order. Every row is computed, repeats too, and a row's results do
     not depend on the other rows of the stack.
 
-    The fits sum each subset in sorted index order (see ``_subset_fits``:
-    one point after another for d >= 2, pairwise at d = 1, as the one-subset
-    fit does). The distances take the (d, S, n) differences from a C-ordered
-    (d, n) copy of the points, so each coordinate is one contiguous row
-    whatever the layout of ``points``; a subtraction gives the same bits in
-    any layout, and ``quadratic_forms`` adds the d^2 products in i-major order.
+    The fits sum each subset one point after another in sorted index order
+    (see ``_subset_fits``) and take their determinants and inverses from
+    ``det_inv``. The distances take the (d, S, n) differences from a
+    C-ordered (d, n) copy of the points, so each coordinate is one
+    contiguous row whatever the layout of ``points``; a subtraction gives
+    the same bits in any layout, and ``quadratic_forms`` adds the d^2
+    products in i-major order.
 
     Raises:
         ValueError: if ``subsets`` is not a 2-D (S, k) stack (pass one subset
@@ -240,12 +248,15 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
         raise ValueError(f"subset indices must lie in [0, {n}), got {subsets.min()} to {subsets.max()}")
     if not 1 <= h <= n:
         raise ValueError(f"h must satisfy 1 <= h <= {n}, got {h}")
-    loc, cov, det = _subset_fits(points, subsets)
+    loc, cov, det, inv = _subset_fits(points, subsets)
     regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
-    inv = np.linalg.inv(cov[regular]).transpose(1, 2, 0)[..., None]  # (d, d, S, 1)
+    every = regular.all()
+    rows = slice(None) if every else regular
     coords = np.ascontiguousarray(points.T)
     # the (d, S, n) differences are a temporary, freed before the selection
-    d2 = quadratic_forms(coords[:, None, :] - loc[regular].T[:, :, None], inv)
+    d2 = quadratic_forms(coords[:, None, :] - loc.T[:, rows, None], inv[rows].transpose(1, 2, 0)[..., None])
+    if every:
+        return _nearest(d2, h), loc, cov, det
     new_subsets = np.full((len(subsets), h), -1)
     new_subsets[regular] = _nearest(d2, h)
     return new_subsets, loc, cov, det
@@ -260,7 +271,8 @@ class McdFit:
         location: mean of the subset.
         scatter: subset covariance (divisor h) times the consistency factor.
         determinant: determinant of the raw subset covariance (the minimized
-            objective, before consistency scaling).
+            objective, before consistency scaling); inf or 0.0 where it lies
+            beyond the float range, which does not affect the fit.
         consistency_factor: the applied chi-square scaling.
         h: subset size.
         n: sample size.
@@ -301,7 +313,7 @@ def _iterate(points: np.ndarray, subsets: np.ndarray, h: int, max_steps: int):
         live = live[~done]
         if not len(live):
             return subsets, loc, cov, det
-    loc[live], cov[live], det[live] = _subset_fits(points, subsets[live])
+    loc[live], cov[live], det[live] = _subset_fits(points, subsets[live])[:3]
     return subsets, loc, cov, det
 
 
@@ -320,11 +332,11 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
     subsets = np.full((N_STARTS, h), -1)
     pending = np.arange(N_STARTS)
     for size in range(d + 1, n + 1):
-        starts = np.argpartition(keys[pending], size - 1, axis=1)[:, :size]
+        starts = np.argpartition(keys, size - 1, axis=1)[:, :size]
         stepped, _, _, det = c_step(points, starts, h)
         regular = det > 0.0
         subsets[pending[regular]] = stepped[regular]
-        pending = pending[~regular]
+        pending, keys = pending[~regular], keys[~regular]
         if not len(pending):
             break
     subsets = np.delete(subsets, pending, axis=0)
@@ -346,18 +358,23 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
 def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     """Fit the minimum covariance determinant estimator.
 
+    The fit runs on the features scaled by 2^-e, with 2^e their largest
+    column range rounded up to a power of two, and its results are scaled
+    back; scaling by a power of two is exact.
+
     Args:
         features: (n, d) data matrix.
         h: subset size, an integer d+1 <= h <= n; defaults to floor((n+d+1)/2).
-        rng_seed: seed of the generator of the elemental starts; fixed seed gives a fixed fit.
+        rng_seed: seed of the generator of the elemental starts, a
+            non-negative integer; fixed seed gives a fixed fit.
 
     Raises:
         DegenerateDataError: if the full-sample covariance is singular (then
-            so is every subset's, and no start is drawn), if its determinant
-            is not finite (a covariance that overflows), or if the best
-            subset is an exact fit to a lower-dimensional affine subspace.
-        ValueError: if features are not finite, h is not an integer in range
-            or n is too small.
+            so is every subset's, and no start is drawn), if it is not
+            finite in the data's units, or if the best subset is an exact fit
+            to a lower-dimensional affine subspace.
+        ValueError: if features are not finite, h is not an integer in range,
+            rng_seed is not a non-negative integer or n is too small.
     """
     points = np.asarray(features, dtype=float)
     if points.ndim != 2:
@@ -373,27 +390,37 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         raise ValueError(f"h must be an integer, got {h!r}")
     if not d + 1 <= h <= n:
         raise ValueError(f"h must satisfy {d + 1} <= h <= {n}, got {h}")
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral):
+        raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
 
-    loc, cov, det = _subset_fits(points, np.arange(n)[None])
+    # the largest column range lies in [2^(e-1), 2^e); e = 0 for a range of 0 or inf
+    e = int(np.frexp(np.ptp(points, axis=0).max())[1])
+    points = np.ldexp(points, -e)
+    loc, cov, det, _ = _subset_fits(points, np.arange(n)[None])
     if det[0] <= 0.0:
         raise DegenerateDataError("full-sample covariance is singular")
-    if not det[0] < np.inf:
-        raise DegenerateDataError("full-sample covariance determinant is not finite")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.ldexp(cov, 2 * e))):
+            raise DegenerateDataError("full-sample covariance is not finite")
     if h == n:
-        return McdFit(np.arange(n), loc[0], cov[0], float(det[0]), 1.0, h, n)
-
-    # every start reaches a regular covariance, as the whole sample at the latest
-    subsets, dets = _screen(points, h, rng_seed)
-    keep = np.argsort(dets, kind="stable")[:N_KEEP]
-    subsets, locs, covs, dets = _iterate(points, subsets[keep], h, MAX_FULL_STEPS)
-    # the first of equal smallest determinants; a nan wins only in row 0,
-    # as it does under a loop's ``det < best``
-    best = 0 if np.isnan(dets[0]) else np.nanargmin(dets)
-    det = float(dets[best])
-    if det <= 0.0:
-        raise DegenerateDataError("minimum-determinant subset covariance is singular")
-    factor = consistency_factor(h, n, d)
-    return McdFit(np.sort(subsets[best]), locs[best], covs[best] * factor, det, factor, h, n)
+        subset, loc, cov, det, factor = np.arange(n), loc[0], cov[0], det[0], 1.0
+    else:
+        # every start reaches a regular covariance, as the whole sample at the latest
+        subsets, dets = _screen(points, h, rng_seed)
+        keep = np.argsort(dets, kind="stable")[:N_KEEP]
+        subsets, locs, covs, dets = _iterate(points, subsets[keep], h, MAX_FULL_STEPS)
+        # the first of equal smallest determinants; a nan wins only in row 0,
+        # as it does under a loop's ``det < best``
+        best = 0 if np.isnan(dets[0]) else np.nanargmin(dets)
+        if dets[best] <= 0.0:
+            raise DegenerateDataError("minimum-determinant subset covariance is singular")
+        subset, loc, cov, det = np.sort(subsets[best]), locs[best], covs[best], dets[best]
+        factor = consistency_factor(h, n, d)
+    with np.errstate(over="ignore", under="ignore"):
+        det = float(np.ldexp(det, 2 * d * e))  # inf or 0.0 beyond the float range
+    return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, h, n)
 
 
 def rmd(points: np.ndarray, fit: McdFit) -> np.ndarray:
@@ -401,7 +428,21 @@ def rmd(points: np.ndarray, fit: McdFit) -> np.ndarray:
     location and scatter: (N,).
 
     Each row is reduced on its own by ``quadratic_forms``, so a point's
-    distance does not depend on the other points in the call.
+    distance does not depend on the other points in the call. The
+    differences and the scatter are scaled by 2^-e and 2^-2e first, with e
+    taken from the scatter's diagonal.
+
+    Raises:
+        ValueError: if the points are not an (N, d) array for the fit's d,
+            or not finite.
     """
-    d2 = quadratic_forms((points - fit.location).T, np.linalg.inv(fit.scatter))
+    points = np.asarray(points, dtype=float)
+    d = len(fit.location)
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"points must be (N, {d}) for this fit, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    e = (int(np.frexp(np.diagonal(fit.scatter).max())[1]) + 1) // 2
+    inv = det_inv(np.ldexp(fit.scatter, -2 * e))[1]
+    d2 = quadratic_forms(np.ldexp(points - fit.location, -e).T, inv)
     return np.sqrt(np.maximum(d2, 0.0))

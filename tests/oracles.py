@@ -9,9 +9,12 @@ library must return bit for bit. The looped FAST-MCD (mcd_fit, with its
 one-subset c_step) takes one elemental start at a time: start i sorts row i
 of the same (N_STARTS, n) uniform keys in full, takes the d+1 smallest and
 grows by the next key while the covariance is singular, and it iterates the
-best N_KEEP candidates one at a time. The library screens all starts in
-stacked passes, iterates the best N_KEEP candidates as one stack, and must
-return its every fit bit for bit. FM1 scores are counted here one grid point
+best N_KEEP candidates one at a time, on the features scaled by the same
+power of two. Each subset's covariance entries, determinant and inverse
+take the library's arithmetic, written here for one matrix: its own
+cofactor expansion (det_inv), not the library's stacked kernel. The library
+screens all starts in stacked passes, iterates the best N_KEEP candidates
+as one stack, and must return its every fit bit for bit. FM1 scores are counted here one grid point
 and one direction at a time, from the library's own projections; the
 einsum those projections replaced must give the same bits.
 """
@@ -182,23 +185,78 @@ def geometric_medians_batch(
     )
 
 
+def _total(column: np.ndarray):
+    """Sum of a column of k values, one after another, by numpy's reduce of
+    a (k, 2) block over its rows, as the library reduces each (k, S) block
+    of a stack of two or more subsets."""
+    return np.stack([column, column], axis=1).sum(axis=0)[0]
+
+
 def _subset_stats(points: np.ndarray, subset: np.ndarray):
+    """Mean and covariance (divisor k) of one subset, summed in sorted index
+    order, one point after another: each covariance entry (i <= j) is the
+    sum of the k products of the two coordinates' differences."""
     sel = points[np.sort(subset)]
-    loc = sel.mean(axis=0)
+    k, d = sel.shape
+    loc = np.array([_total(sel[:, i]) / k for i in range(d)])
     diff = sel - loc
-    cov = diff.T @ diff / len(subset)
+    cov = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            cov[i, j] = cov[j, i] = _total(diff[:, i] * diff[:, j]) / k
     return loc, cov
+
+
+def _minor(a: np.ndarray, rows: tuple, cols: tuple):
+    """Determinant of the submatrix of symmetric a on rows x cols (upper
+    triangle read), expanded along its first row, signed terms added left
+    to right; the empty minor is 1."""
+    if not rows:
+        return 1.0
+    if len(rows) == 1:
+        return a[min(rows[0], cols[0]), max(rows[0], cols[0])]
+    total = None
+    for k, c in enumerate(cols):
+        term = _minor(a, rows[:1], (c,)) * _minor(a, rows[1:], cols[:k] + cols[k + 1:])
+        if total is None:
+            total = term
+        elif k % 2:
+            total = total - term
+        else:
+            total = total + term
+    return total
+
+
+def det_inv(a: np.ndarray):
+    """Determinant and inverse (None where the determinant is 0 or less) of
+    one symmetric d x d matrix by cofactors for d <= 4, LAPACK above: the
+    adjugate for i <= j, mirrored, and the determinant along row 0 against
+    the adjugate's first row."""
+    d = len(a)
+    if d > 4:
+        det = np.linalg.det(a)
+        return det, None if det <= 0.0 else np.linalg.inv(a)
+    full = tuple(range(d))
+    adj = np.empty((d, d))
+    for i in full:
+        for j in full[i:]:
+            m = _minor(a, full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+            adj[i, j] = adj[j, i] = -m if (i + j) % 2 else m
+    det = a[0, 0] * adj[0, 0]
+    for j in full[1:]:
+        det = det + a[0, j] * adj[0, j]
+    return det, None if det <= 0.0 else adj / det
 
 
 def c_step(points: np.ndarray, subset: np.ndarray, h: int):
     """One concentration step of one subset: (new_subset or None, location,
     covariance, determinant)."""
     loc, cov = _subset_stats(points, subset)
-    det = float(np.linalg.det(cov))
+    det, inv = det_inv(cov)
     if det <= 0.0:
         return None, loc, cov, det
     diff = points - loc
-    d2 = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+    d2 = np.einsum("ni,ij,nj->n", diff, inv, diff)
     new_subset = np.sort(np.argsort(d2, kind="stable")[:h])
     return new_subset, loc, cov, det
 
@@ -211,7 +269,7 @@ def _elemental_subset(points: np.ndarray, keys: np.ndarray, h: int) -> np.ndarra
     for size in range(d + 1, n + 1):
         subset = order[:size]
         _, cov = _subset_stats(points, subset)
-        if np.linalg.det(cov) > 0.0:
+        if det_inv(cov)[0] > 0.0:
             return c_step(points, subset, h)[0]
     return None
 
@@ -230,7 +288,7 @@ def _iterate(points: np.ndarray, subset: np.ndarray, h: int, max_steps: int):
             return subset, loc, cov, det
         subset = new_subset
     loc, cov = _subset_stats(points, subset)
-    return subset, loc, cov, float(np.linalg.det(cov))
+    return subset, loc, cov, det_inv(cov)[0]
 
 
 def screen(points: np.ndarray, h: int, rng_seed: int) -> list:
@@ -253,24 +311,35 @@ def screen(points: np.ndarray, h: int, rng_seed: int) -> list:
             candidates.append((0.0, subset))
         else:
             _, cov = _subset_stats(points, subset)
-            candidates.append((float(np.linalg.det(cov)), subset))
+            candidates.append((det_inv(cov)[0], subset))
     return candidates
 
 
 def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
-    """FAST-MCD one elemental start at a time, one c-step per call."""
+    """FAST-MCD one elemental start at a time, one c-step per call, on the
+    features scaled by 2^-e, with 2^e their largest column range rounded up
+    to a power of two; the location, scatter and determinant are scaled back."""
     points = np.asarray(features, dtype=float)
     n, d = points.shape
     if h is None:
         h = default_h(n, d)
+    e = int(np.frexp(max(points[:, j].max() - points[:, j].min() for j in range(d)))[1])
+    points = np.ldexp(points, -e)
+
+    def scaled_back(subset, loc, cov, det, factor):
+        with np.errstate(over="ignore", under="ignore"):
+            det = float(np.ldexp(det, 2 * d * e))
+        return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, h, n)
+
     loc, cov = _subset_stats(points, np.arange(n))
-    det = float(np.linalg.det(cov))
+    det = det_inv(cov)[0]
     if det <= 0.0:
         raise DegenerateDataError("full-sample covariance is singular")
-    if not det < np.inf:
-        raise DegenerateDataError("full-sample covariance determinant is not finite")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.ldexp(cov, 2 * e))):
+            raise DegenerateDataError("full-sample covariance is not finite")
     if h == n:
-        return McdFit(np.arange(n), loc, cov, det, 1.0, h, n)
+        return scaled_back(np.arange(n), loc, cov, det, 1.0)
 
     candidates = screen(points, h, rng_seed)
     if not candidates:
@@ -284,10 +353,9 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
             best = (det, subset, loc, cov)
 
     det, subset, loc, cov = best
-    if det <= 0.0 or np.linalg.det(cov) <= 0.0:
+    if det <= 0.0:
         raise DegenerateDataError("minimum-determinant subset covariance is singular")
-    factor = consistency_factor(h, n, d)
-    return McdFit(np.sort(subset), loc, cov * factor, det, factor, h, n)
+    return scaled_back(np.sort(subset), loc, cov, det, consistency_factor(h, n, d))
 
 
 def fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:

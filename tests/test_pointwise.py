@@ -237,6 +237,49 @@ class TestQuadraticForms:
             assert maha2.shape == (len(queries), m) and maha2.flags.c_contiguous
 
 
+class TestDetInv:
+    """``det_inv``'s cofactor formulas against LAPACK, which computes by LU
+    and so rounds differently: the tolerance is 16 d eps cond(A), relative
+    to |det A| and to the largest entry of the inverse."""
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_spd_stacks_match_lapack(self, d):
+        rng = np.random.default_rng(40 + d)
+        root = rng.normal(size=(300, d, d + 3)) * 10.0 ** rng.uniform(-3, 3, size=(300, d, 1))
+        mats = root @ root.transpose(0, 2, 1)
+        det, inv = pointwise.det_inv(mats)
+        tol = 16 * d * np.finfo(float).eps * np.linalg.cond(mats)
+        want_inv = np.linalg.inv(mats)
+        assert np.all(np.abs(det - np.linalg.det(mats)) <= tol * np.abs(det))
+        assert np.all(np.abs(inv - want_inv).max(axis=(1, 2)) <= tol * np.abs(want_inv).max(axis=(1, 2)))
+        assert np.array_equal(inv, inv.transpose(0, 2, 1))
+        # elementwise: a matrix's bits do not depend on the stack it is in
+        for i in (0, 7, 299):
+            one = pointwise.det_inv(mats[i])
+            assert same_bits(one[0], det[i]) and same_bits(one[1], inv[i])
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_exactly_singular_input(self, d):
+        # integer entries: every product and sum is exact, so the
+        # determinant is exactly 0 and the inverse is inf or nan throughout
+        rng = np.random.default_rng(50 + d)
+        root = rng.integers(-3, 4, size=(20, d, d - 1)).astype(float)
+        mats = np.concatenate([root @ root.transpose(0, 2, 1), np.zeros((1, d, d))])
+        det, inv = pointwise.det_inv(mats)
+        assert np.all(det == 0.0)
+        assert not np.isfinite(inv).any()
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_larger_d_takes_lapack(self, d):
+        root = np.random.default_rng(d).normal(size=(10, d, d + 2))
+        mats = root @ root.transpose(0, 2, 1)
+        mats[3] = 0.0
+        det, inv = pointwise.det_inv(mats)
+        assert same_bits(det, np.linalg.det(mats))
+        regular = np.arange(10) != 3
+        assert same_bits(inv[regular], np.linalg.inv(mats[regular])) and np.isnan(inv[3]).all()
+
+
 def resultant_norms(points, medians):
     """|sum of unit vectors from each median to its cloud's points| per column,
     for columns whose median is not a data point: (n, B, d), (B, d) -> (B',)."""

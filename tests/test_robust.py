@@ -1,6 +1,10 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,17 +105,29 @@ class TestMcdFit:
             mcd_fit(np.column_stack([x, np.zeros_like(x)]))
         assert time.perf_counter() - started < 0.5
 
-    @pytest.mark.parametrize("n, scale", [(30, 1e150), (100, 1e155), (300, 1e155)])
+    @pytest.mark.parametrize("n, scale", [(30, 1e160), (100, 1e155), (300, 1e155)])
     def test_overflowing_covariance_raises_at_once(self, n, scale):
-        # full-sample determinants inf, nan and nan: without the check these
-        # clouds gave an inf or nan fit, or grew every start to the whole
-        # sample and raised only after seconds
+        # full-sample covariances beyond the float range: without the check
+        # these clouds gave an inf or nan fit, or grew every start to the
+        # whole sample and raised only after seconds
         pts = np.random.default_rng(0).normal(size=(n, 2)) * scale
         started = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DegenerateDataError, match="^full-sample covariance determinant is not finite$"):
+            with pytest.raises(DegenerateDataError, match="^full-sample covariance is not finite$"):
                 mcd_fit(pts)
         assert time.perf_counter() - started < 0.5
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, "3", np.float64(2.0), None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        pts = np.random.default_rng(6).normal(size=(10, 2))
+        with pytest.raises(ValueError, match=f"^rng_seed must be an integer, got {re.escape(repr(seed))}$"):
+            mcd_fit(pts, rng_seed=seed)
+
+    def test_rejects_a_negative_seed(self):
+        pts = np.random.default_rng(6).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
+            mcd_fit(pts, rng_seed=-1)
+        assert_same_fit(mcd_fit(pts, rng_seed=np.int64(3)), mcd_fit(pts, rng_seed=3))
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
@@ -141,6 +157,68 @@ class TestMcdFit:
         diff = sel - sel.mean(axis=0)
         assert np.allclose(fit.location, sel.mean(axis=0), atol=1e-12)
         assert np.allclose(fit.scatter, (diff.T @ diff / fit.h) * fit.consistency_factor, atol=1e-12)
+
+
+class TestScaleEquivariance:
+    """``mcd_fit`` and ``rmd`` compute on a copy scaled by a power of two
+    taken from the data, so their subsets and bits do not depend on the
+    data's scale, short of a result beyond the float range."""
+
+    @pytest.mark.parametrize("k", [-332, 332])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_power_of_two_scales_scale_the_bits(self, d, k):
+        pts = np.random.default_rng(60 + d).standard_t(df=3, size=(60, d))
+        fit = mcd_fit(pts, rng_seed=1)
+        scaled = mcd_fit(np.ldexp(pts, k), rng_seed=1)
+        assert np.array_equal(scaled.subset, fit.subset)
+        assert np.array_equal(bits(scaled.location), bits(np.ldexp(fit.location, k)))
+        assert np.array_equal(bits(scaled.scatter), bits(np.ldexp(fit.scatter, 2 * k)))
+        # the determinant, 2^(2dk) times the unscaled one, is beyond the
+        # float range, and reads inf or 0.0
+        assert scaled.determinant == (np.inf if k > 0 else 0.0)
+        assert np.array_equal(bits(rmd(np.ldexp(pts, k), scaled)), bits(rmd(pts, fit)))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-80, 1e-60, 1e60, 1e150])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_decimal_scales_keep_the_subset(self, d, scale):
+        pts = np.random.default_rng(60 + d).standard_t(df=3, size=(60, d))
+        assert np.array_equal(mcd_fit(pts * scale, rng_seed=1).subset, mcd_fit(pts, rng_seed=1).subset)
+
+
+# prints a digest of the bits of mcd_fit and rmd on the features saved at each path
+KERNEL_BITS = """
+import hashlib, sys
+import numpy as np
+from dirout.robust import mcd_fit, rmd
+digest = hashlib.sha256()
+for path in sys.argv[1:]:
+    pts = np.load(path)
+    fit = mcd_fit(pts, rng_seed=3)
+    for part in (fit.subset, fit.location, fit.scatter, np.float64(fit.determinant), rmd(pts, fit)):
+        digest.update(np.ascontiguousarray(part).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_the_blas_kernel(tmp_path):
+    """No BLAS or LAPACK call runs in a fit at d <= 4: OpenBLAS's kernels,
+    chosen by ``OPENBLAS_CORETYPE`` in a subprocess, give the same bits."""
+    paths = []
+    for d in (2, 3, 4):
+        paths.append(tmp_path / f"features{d}.npy")
+        np.save(paths[-1], np.random.default_rng(70 + d).standard_t(df=3, size=(100, d)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(robust.__file__).parents[1])
+
+    def digest(**coretype):
+        done = subprocess.run([sys.executable, "-c", KERNEL_BITS, *map(str, paths)], env={**env, **coretype},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    want = digest()
+    for core in ("Haswell", "Sandybridge"):
+        assert digest(OPENBLAS_CORETYPE=core) == want, core
 
 
 class TestCStep:
@@ -499,6 +577,13 @@ class TestCStepParts:
         want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
         assert np.array_equal(_nearest(d2, h), want)
 
+    def test_nearest_counts_each_row(self):
+        # h = 2: row 0's h-th smallest is nan, so no entry is at or below
+        # it, and row 1 has 4 entries at its cut; the 6 entries at or below
+        # the cuts make h per row on the whole, but in neither of the two
+        d2 = np.array([[np.nan] * 4, [1.0] * 4, [3.0, 1.0, 2.0, 0.5]])
+        assert np.array_equal(_nearest(d2, 2), [[0, 1], [0, 1], [1, 3]])
+
 
 class TestCStepLayouts:
     """The c-step gathers and reduces along contiguous axes, and its bits
@@ -507,8 +592,8 @@ class TestCStepLayouts:
 
     @pytest.mark.parametrize("k, seed", [(8, 0), (9, 3), (16, 5), (17, 2), (51, 0), (100, 0)])
     def test_d1_one_and_two_row_stacks_equal_oracle(self, k, seed):
-        # at d = 1 the one-subset mean sums its k values pairwise; a (k, S, 1)
-        # reduce would add them one after another for S = 2, pairwise for S = 1
+        # numpy sums a (k, 1) block pairwise and a (k, 2) block one value
+        # after another; a one-row stack must take the two-row stack's order
         rng = np.random.default_rng(seed)
         n = 120
         pts = rng.standard_t(df=3, size=(n, 1))
@@ -686,6 +771,23 @@ class TestConsistencyFactor:
 
 
 class TestRmd:
+    @pytest.mark.parametrize("shape", [(30, 1), (30, 3), (30,), (2, 30, 2), ()])
+    def test_rejects_points_of_another_shape(self, shape):
+        # (30, 1) points broadcast against a d = 2 fit to 30 distances
+        fit = mcd_fit(np.random.default_rng(13).normal(size=(25, 2)), rng_seed=14)
+        points = np.ones(shape)
+        message = f"points must be (N, 2) for this fit, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rmd(points, fit)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, value):
+        fit = mcd_fit(np.random.default_rng(13).normal(size=(25, 2)), rng_seed=14)
+        points = np.zeros((5, 2))
+        points[3, 1] = value
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            rmd(points, fit)
+
     def test_zero_at_location(self):
         rng = np.random.default_rng(13)
         fit = mcd_fit(rng.normal(size=(25, 2)), rng_seed=14)
