@@ -185,11 +185,15 @@ def geometric_medians_batch(
     )
 
 
-def _total(column: np.ndarray):
-    """Sum of a column of k values, one after another, by numpy's reduce of
-    a (k, 2) block over its rows, as the library reduces each (k, S) block
-    of a stack of two or more subsets."""
-    return np.stack([column, column], axis=1).sum(axis=0)[0]
+def _column_sums(columns: np.ndarray) -> np.ndarray:
+    """Sums of the columns of a (k, c) array, one value after another, by
+    numpy's reduce over the rows of a C-ordered block at least two columns
+    wide, as the library reduces each (k, S) block of a stack of two or more
+    subsets (numpy sums a (k, 1) block, or a column-major one, pairwise)."""
+    k, c = columns.shape
+    block = np.empty((k, 2 * c))
+    block[:, :c] = block[:, c:] = columns
+    return block.sum(axis=0)[:c]
 
 
 def _subset_stats(points: np.ndarray, subset: np.ndarray):
@@ -198,54 +202,67 @@ def _subset_stats(points: np.ndarray, subset: np.ndarray):
     sum of the k products of the two coordinates' differences."""
     sel = points[np.sort(subset)]
     k, d = sel.shape
-    loc = np.array([_total(sel[:, i]) / k for i in range(d)])
+    loc = _column_sums(sel) / k
     diff = sel - loc
+    rows, cols = np.triu_indices(d)
     cov = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            cov[i, j] = cov[j, i] = _total(diff[:, i] * diff[:, j]) / k
+    cov[rows, cols] = cov[cols, rows] = _column_sums(diff[:, rows] * diff[:, cols]) / k
     return loc, cov
 
 
-def _minor(a: np.ndarray, rows: tuple, cols: tuple):
-    """Determinant of the submatrix of symmetric a on rows x cols (upper
-    triangle read), expanded along its first row, signed terms added left
-    to right; the empty minor is 1."""
+def _minor(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
+    """Determinant of the submatrix of a (nested lists of floats) on rows x
+    cols, expanded along its first row, signed terms added left to right;
+    the empty minor is 1."""
     if not rows:
         return 1.0
     if len(rows) == 1:
-        return a[min(rows[0], cols[0]), max(rows[0], cols[0])]
-    total = None
-    for k, c in enumerate(cols):
-        term = _minor(a, rows[:1], (c,)) * _minor(a, rows[1:], cols[:k] + cols[k + 1:])
-        if total is None:
-            total = term
-        elif k % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
+        return a[rows[0]][cols[0]]
+    if len(rows) == 2:
+        (r, s), (c, t) = rows, cols
+        return a[r][c] * a[s][t] - a[r][t] * a[s][c]
+    if (rows, cols) not in memo:
+        total = None
+        for k, c in enumerate(cols):
+            term = a[rows[0]][c] * _minor(a, rows[1:], cols[:k] + cols[k + 1:], memo)
+            if total is None:
+                total = term
+            elif k % 2:
+                total = total - term
+            else:
+                total = total + term
+        memo[rows, cols] = total
+    return memo[rows, cols]
 
 
 def det_inv(a: np.ndarray):
     """Determinant and inverse (None where the determinant is 0 or less) of
-    one symmetric d x d matrix by cofactors for d <= 4, LAPACK above: the
-    adjugate for i <= j, mirrored, and the determinant along row 0 against
-    the adjugate's first row."""
+    one symmetric d x d matrix, in Python floats, by cofactors for d <= 4,
+    LAPACK above: the determinant along row 0 against the adjugate's first
+    row, and the adjugate for i <= j, mirrored, over it."""
     d = len(a)
     if d > 4:
         det = np.linalg.det(a)
         return det, None if det <= 0.0 else np.linalg.inv(a)
-    full = tuple(range(d))
+    full, memo = tuple(range(d)), {}
+    # the upper triangle, mirrored
+    entries = [[float(a[min(i, j), max(i, j)]) for j in full] for i in full]
+
+    def cofactor(i, j):
+        m = _minor(entries, full[:j] + full[j + 1:], full[:i] + full[i + 1:], memo)
+        return -m if (i + j) % 2 else m
+
+    first = [cofactor(0, j) for j in full]
+    det = entries[0][0] * first[0]
+    for j in full[1:]:
+        det = det + entries[0][j] * first[j]
+    if det <= 0.0:
+        return det, None
     adj = np.empty((d, d))
     for i in full:
         for j in full[i:]:
-            m = _minor(a, full[:j] + full[j + 1:], full[:i] + full[i + 1:])
-            adj[i, j] = adj[j, i] = -m if (i + j) % 2 else m
-    det = a[0, 0] * adj[0, 0]
-    for j in full[1:]:
-        det = det + a[0, j] * adj[0, j]
-    return det, None if det <= 0.0 else adj / det
+            adj[i, j] = adj[j, i] = first[j] if i == 0 else cofactor(i, j)
+    return det, adj / det
 
 
 def c_step(points: np.ndarray, subset: np.ndarray, h: int):
