@@ -64,7 +64,7 @@ def pointwise_moments(values: np.ndarray, weights: np.ndarray, label: str) -> Po
     return PointwiseMoments(means, inv_cov, weights)
 
 
-def quadratic_forms(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def quadratic_forms(diff: np.ndarray, inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Quadratic forms sum_ij diff[i] * inv[i, j] * diff[j] of (d, ...)
     differences under (d, d, ...) matrices that broadcast against ``diff[0]``.
 
@@ -73,11 +73,19 @@ def quadratic_forms(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
     ``"sni,sij,snj->sn"``, ``"ni,ij,nj->n"`` and ``"nmi,mij,nmj->nm"``, which
     add into a zeroed output: they differ only where every term is -0.0,
     which needs a negative or -0.0 inv_00.
+
+    ``out``, a (2, ...) float buffer of the broadcast shape, takes the total
+    in ``out[0]`` and the term in ``out[1]``, and ``out[0]`` is returned; the
+    bits are those of a call without it, which allocates the two.
     """
     d = len(diff)
-    total = diff[0] * inv[0, 0]
+    if out is None:
+        total = diff[0] * inv[0, 0]
+        term = np.empty_like(total)
+    else:
+        total, term = out
+        np.multiply(diff[0], inv[0, 0], out=total)
     total *= diff[0]
-    term = np.empty_like(total)
     for k in range(1, d * d):
         i, j = divmod(k, d)
         np.multiply(diff[i], inv[i, j], out=term)

@@ -129,7 +129,8 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     indices and not on the order they are listed in; otherwise the rounding
     of a near-singular covariance could give one set two determinants. The
     rows are sorted only when one of them is not strictly ascending: the
-    subsets that ``c_step`` returns already are.
+    subsets that ``c_step`` returns already are. A sorted row that is still
+    not strictly ascending repeats an index, and raises ValueError.
 
     Every row is computed, repeats too; the screening passes each distinct
     row once, to its steps and to its final fits (see ``_distinct_rows``).
@@ -142,6 +143,8 @@ def _subset_fits(points: np.ndarray, subsets: np.ndarray):
     """
     ascending = np.all(subsets[:, 1:] > subsets[:, :-1])
     order = subsets if ascending else np.sort(subsets, axis=1)
+    if not (ascending or np.all(order[:, 1:] > order[:, :-1])):
+        raise ValueError("a subset row lists an index more than once")
     s = len(order)
     index = order.T if s != 1 else np.repeat(order.T, 2, axis=1)  # a one-row stack as two rows
     sel = np.take(np.ascontiguousarray(points.T), index, axis=1)
@@ -188,23 +191,29 @@ def _distinct_rows(rows: np.ndarray):
     return order[new], inverse
 
 
-def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
+def _nearest(d2: np.ndarray, h: int, scratch: np.ndarray) -> np.ndarray:
     """Sorted indices of the h smallest entries of each row of d2: (S, n) -> (S, h).
 
     Of entries tied at the h-th smallest value the lower indices are kept,
     and nan counts as larger than any number: the first h of a stable sort.
     Only rows with more than h entries at or below their h-th smallest value
     (ties at the cut), or none (a nan h-th smallest), take the stable sort.
+    The partition runs on a copy of d2 in ``scratch``, an (S, n) float
+    buffer that is overwritten.
     """
     s, n = d2.shape
-    kth = np.partition(d2, h - 1, axis=1)[:, h - 1, None]
+    np.copyto(scratch, d2)
+    scratch.partition(h - 1, axis=1)
+    kth = scratch[:, h - 1, None]
     within = d2 <= kth
     flat = np.flatnonzero(within)
     # with no nan h-th smallest every row holds at least h entries
-    tied = np.zeros(s, dtype=bool)
-    if len(flat) != s * h or np.isnan(kth).any():
-        tied = np.count_nonzero(within, axis=1) != h
-        flat = np.flatnonzero(within[~tied])
+    if len(flat) == s * h and not np.isnan(kth).any():
+        nearest = flat.reshape(s, h)
+        nearest -= np.arange(0, s * n, n)[:, None]
+        return nearest
+    tied = np.count_nonzero(within, axis=1) != h
+    flat = np.flatnonzero(within[~tied])
     nearest = np.empty((s, h), dtype=np.intp)
     nearest[~tied] = flat.reshape(-1, h) - np.arange(0, len(flat) // h * n, n)[:, None]
     nearest[tied] = np.sort(np.argsort(d2[tied], axis=1, kind="stable")[:, :h], axis=1)
@@ -233,17 +242,29 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     the same bits in any layout, and ``quadratic_forms`` adds the d^2
     products in i-major order.
 
+    A step allocates one (d + 2, S, n) workspace: the differences, then the
+    distances and the term buffer of ``quadratic_forms``, whose slot then
+    holds the selection's partition copy. Separate temporaries, freed and
+    allocated again at every step, let glibc return their pages to the
+    system and fault them back in at the next step; one large chunk lifts
+    its dynamic mmap and trim thresholds once, and the pages stay in the
+    heap while the step's other temporaries keep the heap top under the
+    trim threshold. Each row is computed on its own, so the buffers change
+    no bit.
+
     Raises:
-        ValueError: if ``subsets`` is not a 2-D (S, k) stack (pass one subset
-            as ``subset[None]``), if an index lies outside [0, n) (-1, the
-            new subset row of an exact fit, is no index), or if h lies
-            outside [1, n].
+        ValueError: if ``subsets`` is not a 2-D (S, k) stack of integers
+            (pass one subset as ``subset[None]``), if an index lies outside
+            [0, n) (-1, the new subset row of an exact fit, is no index), if
+            a row lists an index twice, or if h lies outside [1, n].
     """
     subsets = np.asarray(subsets)
     n = len(points)
     if subsets.ndim != 2:
         raise ValueError(f"subsets must be an (S, k) stack of index rows, got shape {subsets.shape}; "
                          "pass one subset as subset[None]")
+    if subsets.dtype.kind not in "iu":
+        raise ValueError(f"subsets must hold integer indices, got dtype {subsets.dtype}")
     if subsets.size and not (subsets.min() >= 0 and subsets.max() < n):
         raise ValueError(f"subset indices must lie in [0, {n}), got {subsets.min()} to {subsets.max()}")
     if not 1 <= h <= n:
@@ -253,12 +274,16 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     every = regular.all()
     rows = slice(None) if every else regular
     coords = np.ascontiguousarray(points.T)
-    # the (d, S, n) differences are a temporary, freed before the selection
-    d2 = quadratic_forms(coords[:, None, :] - loc.T[:, rows, None], inv[rows].transpose(1, 2, 0)[..., None])
+    locs = loc.T[:, rows, None]
+    d = len(locs)
+    # the workspace: differences, distances, term buffer (then partition copy)
+    work = np.empty((d + 2, locs.shape[1], n))
+    diff = np.subtract(coords[:, None, :], locs, out=work[:d])
+    d2 = quadratic_forms(diff, inv[rows].transpose(1, 2, 0)[..., None], out=work[d:])
     if every:
-        return _nearest(d2, h), loc, cov, det
+        return _nearest(d2, h, work[d + 1]), loc, cov, det
     new_subsets = np.full((len(subsets), h), -1)
-    new_subsets[regular] = _nearest(d2, h)
+    new_subsets[regular] = _nearest(d2, h, work[d + 1])
     return new_subsets, loc, cov, det
 
 
@@ -332,7 +357,8 @@ def _screen(points: np.ndarray, h: int, rng_seed: int):
     subsets = np.full((N_STARTS, h), -1)
     pending = np.arange(N_STARTS)
     for size in range(d + 1, n + 1):
-        starts = np.argpartition(keys, size - 1, axis=1)[:, :size]
+        # a copy, so that the (A, n) partition is freed before the step
+        starts = np.argpartition(keys, size - 1, axis=1)[:, :size].copy()
         stepped, _, _, det = c_step(points, starts, h)
         regular = det > 0.0
         subsets[pending[regular]] = stepped[regular]

@@ -237,6 +237,35 @@ class TestQuadraticForms:
             assert maha2.shape == (len(queries), m) and maha2.flags.c_contiguous
 
 
+    @pytest.mark.parametrize("layout", ["c_step", "rmd", "moments"])
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_out_buffer_keeps_the_bits(self, d, layout):
+        rng = np.random.default_rng(60 + d)
+        root = rng.normal(size=(7, d, d))
+        mats = root @ root.transpose(0, 2, 1)
+        mats[0, 0, 0] = -mats[0, 0, 0]  # a negative inv_00, whose terms can be -0.0
+        if layout == "c_step":
+            # (d, S, n) differences in a (d + 2, S, n) workspace, (d, d, S, 1) inverses
+            work = np.full((d + 2, 7, 30), np.nan)
+            pts, loc = rng.normal(size=(30, d)), rng.normal(size=(7, d))
+            pts[:3] = loc[0]
+            diff = np.subtract(np.ascontiguousarray(pts.T)[:, None, :], loc.T[:, :, None], out=work[:d])
+            inv, out = mats.transpose(1, 2, 0)[..., None], work[d:]
+        elif layout == "rmd":
+            # (d, N) differences, a transposed view, under one (d, d) inverse
+            pts = np.round(rng.normal(size=(40, d)), 1)
+            diff, inv, out = (pts - pts[0]).T, mats[0], np.full((2, 40), np.nan)
+        else:
+            # (d, N, m) differences under (d, d, m) inverses, as squared_mahalanobis passes them
+            values = rng.normal(size=(6, 7, d))
+            values[:, 2] = 0.0
+            diff, inv, out = values.transpose(2, 0, 1), mats.transpose(1, 2, 0), np.full((2, 6, 7), np.nan)
+        want = quadratic_forms(diff, inv)
+        got = quadratic_forms(diff, inv, out=out)
+        assert same_bits(got, want) and same_bits(out[0], want)
+        assert got.shape == out[0].shape and np.shares_memory(got, out[0])
+
+
 class TestDetInv:
     """``det_inv``'s cofactor formulas against LAPACK, which computes by LU
     and so rounds differently: the tolerance is 16 d eps cond(A), relative
