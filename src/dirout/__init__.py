@@ -10,7 +10,6 @@ from .curves import (
     FunctionalGroup,
     Grid,
     derivative_augment,
-    integrate,
     read_groups_csv,
     write_groups_csv,
 )

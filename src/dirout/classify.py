@@ -21,13 +21,13 @@ that interval are counted, by the pair search; the minimum is exact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import FunctionalGroup, Grid
+from .curves import FunctionalGroup, Grid, check_same_grid
+from .errors import check_integer
 from .outlyingness import reference_frame, squared_mahalanobis, summarize_values
 from .pointwise import random_unit_directions
 from .robust import mcd_fit, rmd
@@ -56,11 +56,8 @@ class ClassifierConfig:
 
     def __post_init__(self):
         for name in ("n_projections", "tukey_n_dirs", "mcd_h"):
-            value = getattr(self, name)
-            if value is None and name == "mcd_h":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "mcd_h" or self.mcd_h is not None:
+                check_integer(name, getattr(self, name))
         for name in ("n_projections", "tukey_n_dirs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -97,14 +94,6 @@ class TrainedModel:
     labels: tuple[str, ...]
     groups: tuple[FunctionalGroup, ...]
     state: object
-
-    @property
-    def grid(self) -> Grid:
-        return self.groups[0].grid
-
-    @property
-    def p(self) -> int:
-        return self.groups[0].p
 
 
 # Correlation length of the random projection directions, as a fraction of
@@ -236,13 +225,10 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
     groups = tuple(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-    grid, p = groups[0].grid, groups[0].p
     labels = tuple(g.label for g in groups)
     if len(set(labels)) != len(labels):
         raise ValueError("group labels must be distinct")
-    for g in groups[1:]:
-        if not g.grid.same_points(grid) or g.p != p:
-            raise ValueError("all groups must share grid and dimension")
+    check_same_grid(groups)
     state = _METHODS[method].fit(groups, config or ClassifierConfig(), rng_seed)
     return TrainedModel(method, labels, groups, state)
 
@@ -449,8 +435,7 @@ METHODS = tuple(_METHODS)
 def predict_batch(model: TrainedModel, queries: FunctionalGroup) -> BatchPredictions:
     """Classify every curve of a group into one record of label and score
     arrays; ties go to the smallest group index. One curve is a group of one."""
-    if not queries.grid.same_points(model.grid) or queries.p != model.p:
-        raise ValueError("query curves must match the model's grid and dimension")
+    check_same_grid((model.groups[0], queries))
     method = _METHODS[model.method]
     scores = method.score(model.state, queries.values)
     higher = method.higher_is_better

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from .classify import METHODS, ClassifierConfig, predict_batch, train
-from .curves import derivative_augment, read_groups_csv, write_groups_csv
+from .curves import derivative_augment, read_groups_csv, write_groups_csv, write_rows
 from .experiment import ExperimentSpec, emit_diagnostics, run_experiment
 from .simulate import DATASETS, GeneratorSpec, default_grid, generate
 
@@ -104,7 +104,8 @@ def _cmd_classify(args) -> int:
     config = ClassifierConfig(args.n_projections, args.tukey_n_dirs, args.mcd_h)
     model = train(groups, method, config, rng_seed=args.seed)
 
-    lines = ["curve_id,true_group,predicted" + "".join(f",score_{g}" for g in model.labels)]
+    header = ["curve_id", "true_group", "predicted"] + [f"score_{g}" for g in model.labels]
+    rows = []
     correct = total = 0
     for label, g in test_groups.items():
         queries = derivative_augment(g) if args.derivatives else g
@@ -112,10 +113,9 @@ def _cmd_classify(args) -> int:
         correct += np.count_nonzero(preds.label == label)
         total += len(preds)
         ids = test_report["curve_ids"][label]
-        for cid, predicted, row in zip(ids, preds.label, preds.scores.tolist()):
-            lines.append(f"{cid},{label},{predicted}," + ",".join(map(repr, row)))
-    with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for cid, predicted, scores in zip(ids, preds.label.tolist(), preds.scores.tolist()):
+            rows.append([cid, label, predicted, *scores])
+    write_rows(args.out, header, rows)
     print(f"accuracy: {correct / total:.4f} ({correct}/{total})")
     return 0
 

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,10 +24,12 @@ from .pointwise import PointwiseMoments, geometric_medians_batch, pointwise_mome
 __all__ = [
     "Grid",
     "FunctionalGroup",
-    "integrate",
+    "check_same_grid",
+    "default_curve_ids",
     "derivative_augment",
     "read_groups_csv",
     "write_groups_csv",
+    "write_rows",
 ]
 
 
@@ -128,20 +131,20 @@ class FunctionalGroup:
             )
 
 
-def integrate(values, grid: Grid) -> float:
-    """Weighted average of per-gridpoint values, approximating the mean over time.
+def check_same_grid(groups) -> None:
+    """Raise ``ValueError`` unless every group has the first group's grid
+    points and number of components."""
+    first = groups[0]
+    for g in groups[1:]:
+        if g.p != first.p or not g.grid.same_points(first.grid):
+            raise ValueError(f"groups {first.label!r} and {g.label!r} must share grid and dimension")
 
-    Args:
-        values: length-m vector of integrand values at the grid points.
-        grid: the grid carrying the normalized trapezoidal weights.
 
-    Returns:
-        sum_i w_i * values_i, exact for constant integrands.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.m,):
-        raise ValueError(f"expected {grid.m} values, got shape {values.shape}")
-    return float(grid.weights @ values)
+def default_curve_ids(label: str, n: int) -> list[str]:
+    """The ids of a group's n curves where a file gives none: ``label-0000``,
+    ``label-0001``, ..., zero-padded to at least four digits."""
+    width = max(4, len(str(n - 1)))
+    return [f"{label}-{i:0{width}d}" for i in range(n)]
 
 
 def derivative_augment(group: FunctionalGroup) -> FunctionalGroup:
@@ -164,37 +167,43 @@ def derivative_augment(group: FunctionalGroup) -> FunctionalGroup:
     return FunctionalGroup.from_values(group.label, np.concatenate([vals, deriv], axis=2), grid)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def write_rows(path, header, rows, lineterminator: str = "\n") -> None:
+    """Write a CSV file of a header and rows of str, int and float fields,
+    each record ending in ``lineterminator``. Floats are written by ``repr``;
+    a field holding a comma, a double quote, a CR or an LF is quoted, so
+    ``csv.reader`` reads every field back unchanged."""
+    with open(path, "w", newline="") as fh:
+        # csv.writer quotes a CR or an LF only where its own record end holds
+        # one: it ends records in "\r\n", so that a lone CR is quoted too, and
+        # it passes each whole record to one write call, which swaps that end
+        sink = SimpleNamespace(write=lambda record: fh.write(record[:-2] + lineterminator))
+        writer = csv.writer(sink, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_groups_csv(groups, path) -> None:
     """Write groups to the long-format CSV schema.
 
     Header is ``curve_id,group,t,c1,...,cp``; one row per (curve, time point),
-    times in grid order. Floats are written with full round-trip precision.
+    times in grid order, each record ending in CR LF. Floats are written with
+    full round-trip precision, and curves take the ids of ``default_curve_ids``.
     """
     groups = list(groups)
     if not groups:
         raise ValueError("nothing to write")
-    p = groups[0].p
-    grid = groups[0].grid
-    for g in groups:
-        if g.p != p or not g.grid.same_points(grid):
-            raise ValueError("all groups must share dimension and grid")
+    check_same_grid(groups)
     if len({g.label for g in groups}) != len(groups):
         raise ValueError("group labels must be distinct")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_id", "group", "t"] + [f"c{k + 1}" for k in range(p)])
-        for g in groups:
-            width = max(4, len(str(g.n - 1)))
-            for i, values in enumerate(g.values):
-                cid = f"{g.label}-{i:0{width}d}"
-                for j, t in enumerate(grid.points):
-                    row = [cid, g.label, _format_float(t)]
-                    row += [_format_float(v) for v in values[j]]
-                    writer.writerow(row)
+    p, times = groups[0].p, groups[0].grid.points.tolist()
+    header = ["curve_id", "group", "t"] + [f"c{k + 1}" for k in range(p)]
+    rows = (
+        [cid, g.label, t, *values]
+        for g in groups
+        for cid, curve in zip(default_curve_ids(g.label, g.n), g.values)
+        for t, values in zip(times, curve.tolist())
+    )
+    write_rows(path, header, rows, lineterminator="\r\n")
 
 
 # Data rows per ``np.loadtxt`` call in ``read_groups_csv``. Besides its

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import numbers
 
 
 class SingularScatterError(ArithmeticError):
@@ -39,3 +41,9 @@ class CsvFormatError(ValueError):
     def __init__(self, message, row=0):
         super().__init__(f"row {row}: {message}" if row else message)
         self.row = row
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

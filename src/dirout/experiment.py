@@ -9,13 +9,15 @@ per method as one rate per replicate.
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .classify import METHODS, ClassifierConfig, predict_batch, train
-from .curves import FunctionalGroup, derivative_augment, read_groups_csv
+from .curves import (
+    FunctionalGroup, check_same_grid, default_curve_ids, derivative_augment, read_groups_csv, write_rows,
+)
+from .errors import check_integer
 from .outlyingness import summarize_values
 from .simulate import DATASETS, GeneratorSpec, default_grid, derivative_dataset, generate
 from .seeding import derive_seed
@@ -47,6 +49,8 @@ class ExperimentSpec:
     config: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self):
+        if not isinstance(self.methods, (list, tuple)):
+            raise ValueError(f"methods must be a list of method names, got {self.methods!r}")
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:
             raise ValueError("methods must be non-empty")
@@ -59,9 +63,7 @@ class ExperimentSpec:
         ds = str(self.dataset)
         object.__setattr__(self, "dataset", ds.lower() if ds.lower() in DATASETS else ds)
         for name in ("n_train", "n_test", "replicates", "seed", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if not isinstance(self.derivatives, bool):
             raise ValueError(f"derivatives must be a bool, got {self.derivatives!r}")
         if self.replicates < 1:
@@ -83,10 +85,25 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        payload = json.loads(text)
-        config = ClassifierConfig(**payload.pop("config", {}))
-        payload["methods"] = tuple(payload["methods"])
-        return cls(config=config, **payload)
+        """The spec of a JSON object of its fields; ``config`` may be left out."""
+        payload = _fields_of(cls, json.loads(text), "spec")
+        if "config" in payload:
+            payload["config"] = ClassifierConfig(**_fields_of(ClassifierConfig, payload["config"], "config"))
+        return cls(**payload)
+
+
+def _fields_of(cls, payload, what: str) -> dict:
+    """``payload``, checked to be a JSON object that names every required
+    field of dataclass ``cls`` and no other; ``ValueError`` names the field."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(payload)}")
+    for f in fields(cls):
+        if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} is missing field {f.name!r}")
+    unknown = sorted(payload.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{what} has unknown field {unknown[0]!r}")
+    return payload
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +114,6 @@ class ExperimentResult:
     methods: tuple[str, ...]
     rates: np.ndarray  # (n_methods, replicates)
     replicate_seeds: tuple[int, ...]
-
-    def rates_for(self, method: str) -> np.ndarray:
-        return self.rates[self.methods.index(method.upper())]
 
     @property
     def mean_rates(self) -> dict[str, float]:
@@ -112,12 +126,12 @@ class ExperimentResult:
 
     def write_csv(self, path) -> None:
         """One row per (method, replicate); deterministic byte-for-byte."""
-        lines = ["method,replicate,seed,p_c"]
-        for i, m in enumerate(self.methods):
-            for r in range(self.rates.shape[1]):
-                lines.append(f"{m},{r},{self.replicate_seeds[r]},{float(self.rates[i, r])!r}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            [m, r, seed, rate]
+            for m, rates in zip(self.methods, self.rates.tolist())
+            for r, (seed, rate) in enumerate(zip(self.replicate_seeds, rates))
+        )
+        write_rows(path, ["method", "replicate", "seed", "p_c"], rows)
 
     def summary_table(self) -> str:
         header = f"{'method':<8}{'mean p_c':>12}{'sd':>12}"
@@ -126,11 +140,6 @@ class ExperimentResult:
         for m in self.methods:
             rows.append(f"{m:<8}{means[m]:>12.4f}{sds[m]:>12.4f}")
         return "\n".join(rows)
-
-
-def _load_csv_groups(path) -> list[FunctionalGroup]:
-    groups, _ = read_groups_csv(path)
-    return list(groups.values())
 
 
 def _replicate_groups(spec: ExperimentSpec, r: int, csv_groups) -> list[FunctionalGroup]:
@@ -204,7 +213,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     Replicates derive their randomness independently from (seed, replicate),
     so the result is identical whether they run sequentially or in parallel.
     """
-    csv_groups = None if spec.is_generated else _load_csv_groups(spec.dataset)
+    csv_groups = None if spec.is_generated else list(read_groups_csv(spec.dataset)[0].values())
     rep_seeds = tuple(derive_seed(spec.seed, r) for r in range(spec.replicates))
     rates = np.empty((len(spec.methods), spec.replicates))
     if workers > 1 and spec.replicates > 1:
@@ -224,23 +233,15 @@ def emit_diagnostics(group: FunctionalGroup, reference: FunctionalGroup, out_pat
     """Write per-curve outlyingness rows ``curve_id, MO_1..MO_p, VO, FO``.
 
     Scores every curve of ``group`` against ``reference``; suitable for
-    scatter plots of shape versus scale outlyingness.
+    scatter plots of shape versus scale outlyingness. Without ``curve_ids``
+    the curves take the ids ``write_groups_csv`` gives them.
     """
-    if not group.grid.same_points(reference.grid) or group.p != reference.p:
-        raise ValueError("group and reference must share grid and dimension")
-    p = group.p
+    check_same_grid((reference, group))
     if curve_ids is None:
-        width = max(4, len(str(group.n - 1)))
-        curve_ids = [f"{group.label}-{i:0{width}d}" for i in range(group.n)]
+        curve_ids = default_curve_ids(group.label, group.n)
     elif len(curve_ids) != group.n:
         raise ValueError("curve_ids length must match the group size")
     summaries = summarize_values(group.values, reference)
-    header = ["curve_id"] + [f"MO_{k + 1}" for k in range(p)] + ["VO", "FO"]
-    lines = [",".join(header)]
-    for i, cid in enumerate(curve_ids):
-        fields = [cid]
-        fields += [repr(float(v)) for v in summaries.mo[i]]
-        fields += [repr(float(summaries.vo[i])), repr(float(summaries.fo[i]))]
-        lines.append(",".join(fields))
-    with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["curve_id"] + [f"MO_{k + 1}" for k in range(group.p)] + ["VO", "FO"]
+    rows = zip(curve_ids, summaries.mo.tolist(), summaries.vo.tolist(), summaries.fo.tolist())
+    write_rows(out_path, header, ([cid, *mo, vo, fo] for cid, mo, vo, fo in rows))

@@ -26,12 +26,11 @@ quantile.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError, check_integer
 from .pointwise import det_inv, quadratic_forms
 
 __all__ = ["McdFit", "mcd_fit", "rmd", "default_h", "c_step", "consistency_factor"]
@@ -412,12 +411,10 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         raise ValueError(f"need at least d+2={d + 2} points, got {n}")
     if h is None:
         h = default_h(n, d)
-    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
-        raise ValueError(f"h must be an integer, got {h!r}")
+    check_integer("h", h)
     if not d + 1 <= h <= n:
         raise ValueError(f"h must satisfy {d + 1} <= h <= {n}, got {h}")
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral):
-        raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}")
+    check_integer("rng_seed", rng_seed)
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
 

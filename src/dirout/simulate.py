@@ -10,13 +10,12 @@ see Abramowitz & Stegun 9.6 for the series).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curves import FunctionalGroup, Grid, derivative_augment
-from .errors import InvalidCovarianceError, UnsupportedParameterError
+from .errors import InvalidCovarianceError, UnsupportedParameterError, check_integer
 
 __all__ = [
     "GeneratorSpec",
@@ -261,9 +260,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown dataset {self.dataset!r}; choose from {DATASETS}")
         object.__setattr__(self, "dataset", ds)
         for name in ("class_label", "n", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.class_label not in (0, 1):
             raise ValueError("class_label must be 0 or 1")
         if self.n < 1:

@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from dirout import classify
-from dirout.classify import METHODS
+from dirout.classify import METHODS, predict_batch, train
 from dirout.cli import main
 from dirout.curves import read_groups_csv
 
@@ -154,3 +155,89 @@ def test_classify_rejects_zero_tukey_directions(tmp_path, capsys):
     assert rc == 1
     assert "error: tukey_n_dirs must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_rejects_methods_given_as_a_string(tmp_path, capsys):
+    spec = {"dataset": "4", "methods": "RMD", "n_train": 10, "n_test": 5, "replicates": 2, "m": 10}
+    spec_f, out = tmp_path / "spec.json", tmp_path / "rates.csv"
+    spec_f.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: methods must be a list of method names, got 'RMD'\n"
+    assert not out.exists()
+
+
+# a comma, a double quote, CR LF and a lone CR, each of which needs csv quoting
+QUOTED_IDS = ('0,"x",0000', "c\r\nd", "e\rf")
+QUOTED_LABELS = ("g,0", 'h"1\r\n')
+
+
+def _write_curves(path, curves, t):
+    """A curves CSV of (curve id, group label, values) triples, quoted by csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["curve_id", "group", "t", "c1"])
+        for cid, label, values in curves:
+            writer.writerows([cid, label, tj, vj] for tj, vj in zip(t.tolist(), values.tolist()))
+
+
+def _level_curves(rng, t, labels, n, prefix, suffixes=("",)):
+    """n noisy curves per label at levels 0, 40, ...; curve i of label k has
+    the id ``prefix``, k, i and the suffix i of ``suffixes``, cycled."""
+    return [
+        (f"{prefix}{k}{i}{suffixes[i % len(suffixes)]}", label, 40.0 * k + rng.normal(size=t.size))
+        for k, label in enumerate(labels)
+        for i in range(n)
+    ]
+
+
+def _records(path):
+    """The header and rows of a CSV file, each row checked to have the header's field count."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)] * len(rows)
+    return header, rows
+
+
+def test_classify_and_diagnose_quote_ids_and_labels(tmp_path, capsys):
+    rng = np.random.default_rng(21)
+    t = np.linspace(0, 1, 10)
+    train_f, test_f = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_curves(train_f, _level_curves(rng, t, QUOTED_LABELS, 12, "t"), t)
+    queries = _level_curves(rng, t, QUOTED_LABELS, 6, "q", QUOTED_IDS)
+    _write_curves(test_f, queries, t)
+
+    pred = tmp_path / "pred.csv"
+    assert main(["classify", "--train", str(train_f), "--test", str(test_f), "--method", "FM2",
+                 "--out", str(pred)]) == 0
+    assert "accuracy: 1.0000 (12/12)" in capsys.readouterr().out
+    header, rows = _records(pred)
+    assert header == ["curve_id", "true_group", "predicted"] + [f"score_{g}" for g in QUOTED_LABELS]
+    assert [row[:3] for row in rows] == [[cid, label, label] for cid, label, _ in queries]
+
+    diag = tmp_path / "diag.csv"
+    assert main(["diagnose", "--group", str(test_f), "--group-label", QUOTED_LABELS[1],
+                 "--reference", str(train_f), "--reference-label", QUOTED_LABELS[0],
+                 "--out", str(diag)]) == 0
+    header, rows = _records(diag)
+    assert header == ["curve_id", "MO_1", "VO", "FO"]
+    assert [row[0] for row in rows] == [cid for cid, label, _ in queries if label == QUOTED_LABELS[1]]
+
+
+def test_classify_writes_plain_fields_unquoted_with_lf_ends(tmp_path):
+    rng = np.random.default_rng(22)
+    t = np.linspace(0, 1, 8)
+    train_f, test_f, pred = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "pred.csv"
+    _write_curves(train_f, _level_curves(rng, t, ("a", "b"), 10, "t"), t)
+    _write_curves(test_f, _level_curves(rng, t, ("a", "b"), 2, "p"), t)
+    assert main(["classify", "--train", str(train_f), "--test", str(test_f), "--method", "FM2",
+                 "--out", str(pred)]) == 0
+
+    model = train(list(read_groups_csv(train_f)[0].values()), "FM2")
+    test_groups, report = read_groups_csv(test_f)
+    lines = ["curve_id,true_group,predicted,score_a,score_b"]
+    for label, group in test_groups.items():
+        preds = predict_batch(model, group)
+        for cid, predicted, scores in zip(report["curve_ids"][label], preds.label, preds.scores):
+            lines.append(f"{cid},{label},{predicted}," + ",".join(repr(float(s)) for s in scores))
+    assert lines[1].startswith("p00,a,a,")
+    assert pred.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -12,7 +12,6 @@ from dirout.curves import (
     FunctionalGroup,
     Grid,
     derivative_augment,
-    integrate,
     read_groups_csv,
     write_groups_csv,
 )
@@ -43,36 +42,38 @@ class TestGrid:
 
 
 class TestIntegrate:
+    """The grid-weighted mean over time of per-gridpoint values, ``grid.weights @ v``."""
+
     def test_constant_recovered_exactly(self):
         g = uniform_grid(7)
-        assert integrate(np.full(7, 3.25), g) == pytest.approx(3.25, abs=1e-15)
+        assert g.weights @ np.full(7, 3.25) == pytest.approx(3.25, abs=1e-15)
 
     def test_two_point_symmetry(self):
         g = Grid(np.array([0.0, 1.0]))
-        assert integrate(np.array([0.0, 1.0]), g) == pytest.approx(0.5, abs=1e-15)
+        assert g.weights @ np.array([0.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_full_period_sine_nearly_zero(self):
         g = uniform_grid(50)
         vals = np.sin(2 * np.pi * g.points)
-        assert abs(integrate(vals, g)) < 5e-2
+        assert abs(g.weights @ vals) < 5e-2
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         g = Grid(np.sort(rng.uniform(0, 1, 30)))
         u, v = rng.normal(size=30), rng.normal(size=30)
         a, b = 2.5, -1.25
-        lhs = integrate(a * u + b * v, g)
-        rhs = a * integrate(u, g) + b * integrate(v, g)
+        lhs = g.weights @ (a * u + b * v)
+        rhs = a * (g.weights @ u) + b * (g.weights @ v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_ones_integrate_to_one(self):
         rng = np.random.default_rng(2)
         g = Grid(np.sort(rng.uniform(0, 5, 23)))
-        assert integrate(np.ones(23), g) == pytest.approx(1.0, abs=1e-15)
+        assert g.weights @ np.ones(23) == pytest.approx(1.0, abs=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            integrate(np.ones(5), uniform_grid(6))
+            uniform_grid(6).weights @ np.ones(5)
 
 
 class TestDerivativeAugment:

@@ -99,6 +99,48 @@ def test_no_unused_private_names(path):
     assert not unused, f"{path.name} defines private names it never uses: {unused}"
 
 
+FILE_WRITERS = {"write_text", "write_bytes", "savetxt", "tofile"}
+
+
+def _file_writes(tree):
+    """The lines that import ``csv`` or write a file: an ``open`` call whose
+    mode is not a constant read mode, or a call of ``FILE_WRITERS``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "csv" for module in modules):
+            yield f"line {node.lineno}: import csv"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            reads = all(isinstance(m, ast.Constant) and not set(str(m.value)) & set("wax+") for m in modes)
+            if name in FILE_WRITERS or (name == "open" and not reads):
+                yield f"line {node.lineno}: {name}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "curves"], ids=lambda path: path.stem)
+def test_only_curves_writes_files(path):
+    """Every file the package writes is a CSV written by ``curves.write_rows``:
+    no other module imports ``csv`` or opens a file for writing, so none
+    builds CSV records by hand."""
+    found = list(_file_writes(ast.parse(path.read_text(), str(path))))
+    assert not found, f"{path.name} writes files itself: {found}"
+
+
+def test_the_file_writer_guard_sees_writes():
+    tree = ast.parse(
+        "import csv\nopen(p, 'w')\nopen(p, mode='a')\nopen(p, m)\nopen(p)\nopen(p, 'rb')\nq.write_text(s)"
+    )
+    assert [line.split(":")[0] for line in _file_writes(tree)] == [
+        "line 1", "line 2", "line 3", "line 4", "line 7"
+    ]
+
+
 # runs ``python -m dirout ARGS`` with every import of scipy failing
 WITHOUT_SCIPY = """
 import runpy, sys

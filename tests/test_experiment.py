@@ -1,12 +1,15 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from dirout import curves, experiment
-from dirout.classify import METHODS
+from dirout.classify import METHODS, ClassifierConfig
 from dirout.curves import FunctionalGroup, Grid, write_groups_csv
 from dirout.experiment import (
+    ExperimentResult,
     ExperimentSpec,
     emit_diagnostics,
     run_experiment,
@@ -194,6 +197,27 @@ class TestEmitDiagnostics:
         line = out.read_text().strip().split("\n")[1]
         assert line == "median,0.0,0.0,0.0,0.0"
 
+    def test_default_ids_of_a_quoted_label_read_back(self, tmp_path):
+        rng = np.random.default_rng(15)
+        grid = Grid(np.linspace(0, 1, 8))
+        ref = FunctionalGroup.from_values("r", rng.normal(size=(20, 8, 1)), grid)
+        grp = FunctionalGroup.from_values('q,"1"\r\n', rng.normal(size=(3, 8, 1)), grid)
+        out = tmp_path / "diag.csv"
+        emit_diagnostics(grp, ref, out)
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["curve_id", "MO_1", "VO", "FO"]
+        assert [row[0] for row in rows] == [f'q,"1"\r\n-000{i}' for i in range(3)]
+        assert all(len(row) == 4 for row in rows)
+
+
+def test_result_csv_bytes(tmp_path):
+    spec = ExperimentSpec("2", ("RMD", "VOM"), n_train=5, n_test=5, replicates=2)
+    result = ExperimentResult(spec, spec.methods, np.array([[0.5, 0.25], [1.0, 0.1]]), (11, 12))
+    out = tmp_path / "rates.csv"
+    result.write_csv(out)
+    assert out.read_bytes() == b"method,replicate,seed,p_c\nRMD,0,11,0.5\nRMD,1,12,0.25\nVOM,0,11,1.0\nVOM,1,12,0.1\n"
+
 
 class TestSpecValidation:
     """A spec read from JSON is outside input: its fields are checked when it
@@ -233,3 +257,39 @@ class TestSpecValidation:
     def test_a_method_listed_twice_is_rejected(self):
         with pytest.raises(ValueError, match="^method 'RP1' is listed twice$"):
             ExperimentSpec(**{**self.BASE, "methods": ("RP1", "rp1")})
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"RMD"', "null", "3"])
+    def test_a_spec_that_is_not_an_object_is_rejected(self, text):
+        with pytest.raises(ValueError, match=f"^spec must be a JSON object, got {re.escape(text)}$"):
+            ExperimentSpec.from_json(text)
+
+    @pytest.mark.parametrize("field", ["dataset", "methods", "n_train", "n_test", "replicates"])
+    def test_a_missing_field_is_named(self, field):
+        payload = {name: value for name, value in self.BASE.items() if name != field}
+        with pytest.raises(ValueError, match=f"^spec is missing field '{field}'$"):
+            ExperimentSpec.from_json(json.dumps(payload))
+
+    def test_an_unknown_field_is_named(self):
+        with pytest.raises(ValueError, match="^spec has unknown field 'method'$"):
+            ExperimentSpec.from_json(json.dumps({**self.BASE, "method": ["RMD"]}))
+        payload = {**self.BASE, "config": {"n_projections": 5, "n_dirs": 50}}
+        with pytest.raises(ValueError, match="^config has unknown field 'n_dirs'$"):
+            ExperimentSpec.from_json(json.dumps(payload))
+
+    def test_methods_given_as_a_string_are_rejected(self):
+        message = "^methods must be a list of method names, got 'RMD'$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_json(json.dumps({**self.BASE, "methods": "RMD"}))
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**{**self.BASE, "methods": "RMD"})
+
+    @pytest.mark.parametrize("text", ["null", "[]", "5", '"RP1"'])
+    def test_a_config_that_is_not_an_object_is_rejected(self, text):
+        spec = json.dumps(self.BASE)[:-1] + f', "config": {text}}}'
+        with pytest.raises(ValueError, match=f"^config must be a JSON object, got {re.escape(text)}$"):
+            ExperimentSpec.from_json(spec)
+
+    def test_a_config_may_be_left_out_or_partial(self):
+        assert ExperimentSpec.from_json(json.dumps(self.BASE)).config == ClassifierConfig()
+        spec = ExperimentSpec.from_json(json.dumps({**self.BASE, "config": {"mcd_h": 9}}))
+        assert spec.config == ClassifierConfig(mcd_h=9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dirout.curves import Grid, integrate
+from dirout.curves import Grid
 from dirout.errors import UnsupportedParameterError
 from dirout.simulate import (
     GeneratorSpec,
@@ -245,4 +245,4 @@ class TestDefaultGrid:
         assert g.m == 50
         assert g.points[0] == pytest.approx(0.02)
         assert g.points[-1] == 1.0
-        assert integrate(np.ones(50), g) == pytest.approx(1.0, abs=1e-15)
+        assert g.weights @ np.ones(50) == pytest.approx(1.0, abs=1e-15)
