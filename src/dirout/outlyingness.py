@@ -14,7 +14,7 @@ group's m and p; one curve is a batch of one, ``values[None]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +33,9 @@ __all__ = [
 # Below this distance from the point-wise median the direction is undefined
 # and the outlyingness vector is taken to be zero.
 ZERO_DIRECTION_TOL = 1e-12
+
+# Values in each of _outer_sums's two block buffers: 128 KB
+_BLOCK = 16384
 
 
 def reference_frame(group: FunctionalGroup) -> FunctionalGroup:
@@ -76,15 +79,64 @@ def pointwise_outlyingness(values: np.ndarray, reference: FunctionalGroup) -> np
     return maha2[:, :, None] * unit
 
 
-@dataclass(frozen=True, eq=False)
-class BatchSummaries:
-    """Column-stacked summaries for a batch of curves."""
+def _outer_sums(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Grid-weighted outer products of an (N, m, p) batch,
+    sum_m weights[m] * a[n, m, i] * a[n, m, j]: (N, p, p).
 
-    mo: np.ndarray  # (N, p)
-    vo: np.ndarray  # (N,)
-    fo: np.ndarray  # (N,)
-    fom: np.ndarray  # (N, p, p)
-    vom: np.ndarray  # (N, p, p)
+    Gives the bits of ``np.einsum("m,nmi,nmj->nij", weights, a, a)``: each
+    term is (w_m a_i) a_j, the m terms are added in grid order by reducing an
+    (m, curves) block over its outer axis, and +0.0 is added last, as einsum
+    adds into a zeroed output. The blocks are written from strided views of
+    ``a`` into two buffers of at most _BLOCK values, reused block after block.
+    Numpy sums a single column pairwise, so no block holds one curve: one
+    curve is summed as two equal rows, and a last block of one curve starts a
+    curve early.
+    """
+    n, m, p = a.shape
+    if n == 1:
+        a = np.concatenate([a, a])
+    rows = len(a)
+    step = max(2, _BLOCK // m)
+    wa = np.empty((m, min(step, rows)))
+    term = np.empty_like(wa)
+    out = np.empty((rows, p, p))
+    for start in range(0, rows, step):
+        start = min(start, rows - 2)
+        block = a[start : start + step]
+        size = len(block)
+        for i in range(p):
+            np.multiply(weights[:, None], block[:, :, i].T, out=wa[:, :size])
+            for j in range(p):
+                np.multiply(wa[:, :size], block[:, :, j].T, out=term[:, :size])
+                term[:, :size].sum(axis=0, out=out[start : start + size, i, j])
+    out += 0.0
+    return out[:n]
+
+
+class BatchSummaries:
+    """Column-stacked summaries of a batch of N curves against one group:
+    ``mo`` (N, p) and ``vo`` (N,) computed at construction; ``fo`` (N,) and
+    the outlyingness matrices ``fom`` and ``vom`` (N, p, p) computed on first
+    read and kept."""
+
+    def __init__(self, outlyingness: np.ndarray, weights: np.ndarray):
+        self._o = outlyingness
+        self._weights = weights
+        self.mo = np.einsum("m,nmi->ni", weights, outlyingness)
+        self._dev = outlyingness - self.mo[:, None, :]
+        self.vo = np.einsum("m,nmi,nmi->n", weights, self._dev, self._dev)
+
+    @cached_property
+    def fo(self) -> np.ndarray:
+        return np.einsum("m,nmi,nmi->n", self._weights, self._o, self._o)
+
+    @cached_property
+    def fom(self) -> np.ndarray:
+        return _outer_sums(self._weights, self._o)
+
+    @cached_property
+    def vom(self) -> np.ndarray:
+        return _outer_sums(self._weights, self._dev)
 
 
 def summarize_values(values: np.ndarray, reference: FunctionalGroup) -> BatchSummaries:
@@ -94,15 +146,7 @@ def summarize_values(values: np.ndarray, reference: FunctionalGroup) -> BatchSum
     The curves are never pooled into the reference: the group's empirical
     distribution alone defines the point-wise depths and medians.
     """
-    o = pointwise_outlyingness(values, reference)
-    w = reference.moments.weights
-    mo = np.einsum("m,nmi->ni", w, o)
-    fo = np.einsum("m,nmi,nmi->n", w, o, o)
-    dev = o - mo[:, None, :]
-    vo = np.einsum("m,nmi,nmi->n", w, dev, dev)
-    fom = np.einsum("m,nmi,nmj->nij", w, o, o)
-    vom = np.einsum("m,nmi,nmj->nij", w, dev, dev)
-    return BatchSummaries(mo, vo, fo, fom, vom)
+    return BatchSummaries(pointwise_outlyingness(values, reference), reference.moments.weights)
 
 
 def _apply_transform(

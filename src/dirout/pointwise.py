@@ -154,34 +154,53 @@ def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:
     return dirs / norms
 
 
-def _vertex_is_median(cloud: np.ndarray, k: int, floor: float) -> bool:
-    """Exact optimality test: point k is a geometric median of its cloud iff
-    the resultant of unit vectors from the other points has norm at most the
-    multiplicity of the point."""
-    u = cloud - cloud[k]
-    norms = np.linalg.norm(u, axis=1)
-    coincident = norms <= floor
-    resultant = (u[~coincident] / norms[~coincident, None]).sum(axis=0)
-    return float(np.linalg.norm(resultant)) <= coincident.sum() + 1e-12
+def _distances(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|points[:, i, b] - z[:, b]| for component-major (d, n, B) points and
+    (d, B) z: (n, B).
 
-
-def _distances(points: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|points[i, b] - z[b]| for (n, B, d) points and (B, d) z: (n, B).
-
-    Gives np.linalg.norm's bits: below 8 components numpy's add.reduce sums
-    left to right, as the running sum of squares here does.
+    Gives np.linalg.norm's bits on the (n, B, d) layout: below 8 components
+    numpy's add.reduce sums left to right, as the running sum of squares here
+    does; from 8 on it takes np.linalg.norm itself. ``out``, a (2, n, B)
+    buffer, takes the distances in ``out[0]``, which is returned, and a
+    component's square in ``out[1]``.
     """
-    d = points.shape[2]
+    d = len(points)
     if d >= 8:
-        return np.linalg.norm(points - z[None, :, :], axis=2)
-    sq = np.subtract(points[:, :, 0], z[:, 0])
+        return np.linalg.norm(np.moveaxis(points - z[:, None, :], 0, -1).copy(), axis=2)
+    sq, c = np.empty((2,) + points.shape[1:]) if out is None else out
+    np.subtract(points[0], z[0], out=sq)
     np.multiply(sq, sq, out=sq)
-    c = np.empty_like(sq)
     for k in range(1, d):
-        np.subtract(points[:, :, k], z[:, k], out=c)
+        np.subtract(points[k], z[k], out=c)
         np.multiply(c, c, out=c)
         sq += c
     return np.sqrt(sq, out=sq)
+
+
+def _vertex_tests(comps: np.ndarray, cols: np.ndarray, verts: np.ndarray, floor: float, out: np.ndarray):
+    """Exact optimality tests of the clouds comps[:, :, cols] of a (d, n, B)
+    block: vertex verts[f] is a geometric median of its cloud iff the
+    resultant of unit vectors from the other points has norm at most the
+    multiplicity of the point. One bool per column tested; ``out``, a
+    (2, n, >= max(F, 2)) buffer, takes the distances.
+
+    The columns are gathered into one C-ordered, component-major (d, n, F)
+    block, whose resultant adds the points one after another, as the test of
+    one (n, d) cloud did; numpy sums a single column pairwise, so a lone
+    column is tested as two."""
+    tested = len(cols)
+    if tested == 1:
+        cols, verts = np.repeat(cols, 2), np.repeat(verts, 2)
+    u = np.take(comps, cols, axis=2)  # C-ordered, unlike comps[:, :, cols]
+    vertex = comps[:, verts, cols]
+    norms = _distances(u, vertex, out=out[:, :, : len(cols)])
+    coincident = norms <= floor
+    norms[coincident] = np.inf  # the unit vectors of the vertex's copies count as zero
+    u -= vertex[:, None, :]
+    u /= norms
+    resultant = u.sum(axis=1)[:, None, :]
+    median = _distances(resultant, np.zeros_like(resultant[:, 0]))[0] <= coincident.sum(axis=0) + 1e-12
+    return median[:tested]
 
 
 def _newton_finish(points, z, cols, rejected, floor, radius, tol):
@@ -196,7 +215,7 @@ def _newton_finish(points, z, cols, rejected, floor, radius, tol):
     """
     pts = points[:, cols, :]
     zc = z[cols]
-    dist = _distances(pts, zc)
+    dist = _distances(pts.transpose(2, 0, 1), zc.T)
     kmin = dist.argmin(axis=0)
     if not np.all((dist[kmin, np.arange(cols.size)] < radius) & rejected[kmin, cols]):
         return None
@@ -216,7 +235,7 @@ def _newton_finish(points, z, cols, rejected, floor, radius, tol):
             out = z.copy()
             out[cols] = zc
             return out
-        dist = _distances(pts, zc)
+        dist = _distances(pts.transpose(2, 0, 1), zc.T)
     return None
 
 
@@ -229,7 +248,15 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
     median sits on a data point, so columns whose iterate approaches a point
     run the exact vertex optimality test and snap to it when it is the
     median. The test depends only on the column and the vertex, so each pair
-    is tested once: a rejected vertex is remembered and not tested again.
+    is tested once: a rejected vertex is remembered and not tested again. The
+    columns flagged in one pass are tested together.
+
+    The points are copied once into a component-major (d, n, B) block, and
+    each pass reuses two (n, B) buffers. Every weighted sum reduces an (n, B)
+    block over its outer axis, so it adds the n terms in order, as the einsum
+    ``"nb,nbd->bd"`` does; numpy sums a single column pairwise, so one cloud
+    runs as two equal columns, with its weight total summed down the one
+    column as before.
 
     When _MAX_ITER iterations end with some columns still stepping more than
     1e-9 x scale, those columns usually sit just off a rejected vertex, where
@@ -243,40 +270,58 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
     n, B, d = points.shape
     if d == 1:
         return np.median(points, axis=0)
-    z = points.mean(axis=0).copy()  # (B, d)
-    scale = max(1.0, float(np.abs(points).max()))
+    width = max(B, 2)
+    work = np.empty((d + 2, n, width))  # one allocation: the points, the distances and a term
+    comps, buf = work[:d], work[d:]
+    comps[:, :, :B] = points.transpose(2, 0, 1)
+    comps[:, :, B:] = comps[:, :, :1]
+    z = np.empty((d, width))
+    z[:, :B] = points.mean(axis=0).T
+    z[:, B:] = z[:, :1]
+    z_new = np.empty_like(z)
+    scale = max(1.0, float(comps.max()), -float(comps.min()))
     floor = 1e-14 * scale
     check_radius = 1e-3 * scale
-    cols = np.arange(B)
-    done = np.zeros(B, dtype=bool)
-    rejected = np.zeros((n, B), dtype=bool)  # (vertex, column): not the median
-    steps = np.full(B, np.inf)
+    cols = np.arange(width)
+    done = np.zeros(width, dtype=bool)
+    rejected = np.zeros((n, width), dtype=bool)  # (vertex, column): not the median
+    steps = np.full(width, np.inf)
     for _ in range(_MAX_ITER):
-        dist = _distances(points, z)  # (n, B)
+        dist = _distances(comps, z, out=buf)  # (n, width)
         kmin = dist.argmin(axis=0)
-        near = dist[kmin, cols] < check_radius
-        for b in np.flatnonzero(~done & near & ~rejected[kmin, cols]):
-            if _vertex_is_median(points[:, b, :], int(kmin[b]), floor):
-                z[b] = points[kmin[b], b]
-                done[b] = True
-            else:
-                rejected[kmin[b], b] = True
-        if done.all():
-            return z
-        w = np.where(dist > floor, 1.0 / np.maximum(dist, floor), 0.0)
-        wsum = w.sum(axis=0)  # (B,)
+        dmin = dist[kmin, cols]
+        # the Weiszfeld step; the columns done, snapped below or degenerate keep z
+        if dmin.min() > floor:
+            w = np.divide(1.0, dist, out=dist)
+        else:  # a point sits on an iterate: its weight is 0
+            w = np.where(dist > floor, 1.0 / np.maximum(dist, floor), 0.0)
+        wsum = w[:, :B].sum(axis=0)  # (B,)
         degenerate = wsum == 0.0  # every point coincides with the iterate
         wsum[degenerate] = 1.0
-        z_new = np.einsum("nb,nbd->bd", w, points) / wsum[:, None]
-        z_new[degenerate] = z[degenerate]
-        z_new[done] = z[done]
-        steps = np.linalg.norm(z_new - z, axis=1)
-        z = z_new
+        term = buf[1]
+        for k in range(d):
+            np.multiply(w, comps[k], out=term)
+            term.sum(axis=0, out=z_new[k])
+        z_new /= wsum
+        flagged = np.flatnonzero(~done & (dmin < check_radius) & ~rejected[kmin, cols])
+        if flagged.size:
+            verts = kmin[flagged]
+            median = _vertex_tests(comps, flagged, verts, floor, out=buf)
+            snap = flagged[median]
+            z[:, snap] = comps[:, kmin[snap], snap]
+            done[snap] = True
+            rejected[verts[~median], flagged[~median]] = True
+        if done.all():
+            return z[:, :B].T.copy()
+        np.copyto(z_new, z, where=done | degenerate)
+        steps = _distances(z_new[:, None, :], z)[0]
+        z, z_new = z_new, z
         if steps.max() <= _TOL * scale:
-            return z
+            return z[:, :B].T.copy()
+    z = z[:, :B].T.copy()
     if steps.max() <= 1e-9 * scale:
         return z
-    stalled = np.flatnonzero(steps > 1e-9 * scale)
+    stalled = np.flatnonzero(steps[:B] > 1e-9 * scale)
     finished = _newton_finish(points, z, stalled, rejected, floor, check_radius, _TOL * scale)
     if finished is None:
         raise ConvergenceError(

@@ -183,3 +183,30 @@ def test_import_starts_no_process_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_only_vom_forms_outlyingness_matrices(monkeypatch):
+    """The (N, p, p) outlyingness matrices are formed only where they are
+    read: an RMD train and predict, which read MO and VO, form none, and a
+    VOM predict forms VOM once per reference group and never reads FOM."""
+    from dirout import outlyingness
+    from dirout.classify import predict_batch, train
+    from dirout.simulate import GeneratorSpec, default_grid, generate
+
+    formed = []
+    kernel = outlyingness._outer_sums
+
+    def counting(weights, a):
+        formed.append(a.shape)
+        return kernel(weights, a)
+
+    def no_fom(summaries):
+        raise AssertionError("FOM read")
+
+    monkeypatch.setattr(outlyingness, "_outer_sums", counting)
+    monkeypatch.setattr(outlyingness.BatchSummaries, "fom", property(no_fom))
+    groups = [generate(GeneratorSpec("4", cls, 20, grid=default_grid(10), seed=cls)) for cls in (0, 1)]
+    predict_batch(train(groups, "RMD"), groups[0])
+    assert formed == []
+    predict_batch(train(groups, "VOM"), groups[1])
+    assert formed == [(20, 10, 2), (20, 10, 2)]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dirout import curves
+from dirout import curves, outlyingness
 from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import SingularScatterError
 from dirout.experiment import emit_diagnostics
@@ -168,6 +170,51 @@ class TestSummaries:
             s = summarize_values(values[i : i + 1], ref)
             assert np.array_equal(batch.mo[i], s.mo[0])
             assert batch.vo[i] == s.vo[0] and batch.fo[i] == s.fo[0]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestOuterSumsKernel:
+    """FOM and VOM come from a fixed-order kernel that keeps the bits of the
+    einsum it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 700), m=st.integers(2, 140), p=st.integers(1, 4),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=50, p=2, log_scale=0.0, seed=0)
+    @example(n=1000, m=50, p=2, log_scale=0.0, seed=1)
+    @example(n=328, m=50, p=3, log_scale=0.0, seed=2)  # a last block of one curve
+    def test_bits_of_the_einsum(self, n, m, p, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=10.0**log_scale, size=(n, m, p))
+        w = rng.random(m) + 0.01
+        w /= w.sum()
+        assert same_bits(outlyingness._outer_sums(w, a), np.einsum("m,nmi,nmj->nij", w, a, a))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_negative_zero_terms_sum_to_positive_zero(self, n):
+        # (w a_0) a_1 is -0.0 at every grid point: einsum adds the terms into
+        # a zeroed output, so the entry reads +0.0
+        a = np.ones((n, 7, 2))
+        a[:, :, 0] = -0.0
+        w = np.full(7, 1.0 / 7.0)
+        out = outlyingness._outer_sums(w, a)
+        assert same_bits(out, np.einsum("m,nmi,nmj->nij", w, a, a))
+        assert not np.signbit(out[:, 0, 1]).any() and not np.signbit(out[:, 1, 0]).any()
+
+    def test_summaries_keep_the_einsum_bits(self):
+        rng = np.random.default_rng(21)
+        ref = reference_frame(random_group(rng, n=30, m=12, p=3))
+        values = rng.normal(size=(9, 12, 3))
+        s = summarize_values(values, ref)
+        o = pointwise_outlyingness(values, ref)
+        w = ref.moments.weights
+        dev = o - s.mo[:, None, :]
+        assert same_bits(s.fo, np.einsum("m,nmi,nmi->n", w, o, o))
+        assert same_bits(s.fom, np.einsum("m,nmi,nmj->nij", w, o, o))
+        assert same_bits(s.vom, np.einsum("m,nmi,nmj->nij", w, dev, dev))
 
 
 class TestTransformationInvariance:

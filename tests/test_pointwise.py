@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +383,24 @@ class TestMedianKernelAgainstWeiszfeldOracle:
         pts = np.random.default_rng(40 + d).normal(size=(60, 20, d))
         assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_shapes(self, d):
+        # one or two columns, and point counts on both sides of numpy's
+        # 8-term and 128-term pairwise blocks
+        rng = np.random.default_rng(60 + d)
+        for n, b in ((3, 1), (9, 2), (40, 7), (130, 1), (257, 3), (1000, 1), (1000, 2)):
+            pts = rng.normal(size=(n, b, d)) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.normal(size=d)
+            assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts)), (n, b)
+
+    @pytest.mark.parametrize("dataset, seed", [("4", 1), ("1d", 2)])
+    def test_single_clouds_of_a_thousand_points(self, dataset, seed):
+        # numpy sums an (n, 1) column pairwise: the one-cloud weight total
+        # must stay pairwise and the weighted sums must stay sequential
+        values = dataset_values(dataset, 0, 1000, seed)
+        for col in (0, 17, 49):
+            pts = np.ascontiguousarray(values[:, col : col + 1])
+            assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts)), col
+
     def test_gaussian_draws_and_the_stall_the_oracle_gives_up_on(self):
         # draw 29 has a column whose median lies about 1e-4 from a data point:
         # Weiszfeld crawls there and the oracle raises
@@ -394,22 +417,51 @@ class TestMedianKernelAgainstWeiszfeldOracle:
 class TestMedianVertexTests:
     def test_each_column_vertex_pair_is_tested_once(self, monkeypatch):
         tested = {"kernel": [], "oracle": []}
+        kernel_tests, oracle_test = pointwise._vertex_tests, oracles._vertex_is_median
 
-        def counting(name, test):
-            def wrapper(cloud, k, floor):
-                tested[name].append((cloud.tobytes(), k))
-                return test(cloud, k, floor)
+        def counting_kernel(comps, cols, verts, floor, out):
+            # the kernel tests a pass's flagged columns of its (d, n, B) block together
+            tested["kernel"] += [(comps[:, :, b].T.tobytes(), int(k)) for b, k in zip(cols, verts)]
+            return kernel_tests(comps, cols, verts, floor, out)
 
-            return wrapper
+        def counting_oracle(cloud, k, floor):
+            tested["oracle"].append((cloud.tobytes(), k))
+            return oracle_test(cloud, k, floor)
 
-        for name, module in (("kernel", pointwise), ("oracle", oracles)):
-            monkeypatch.setattr(module, "_vertex_is_median", counting(name, module._vertex_is_median))
+        monkeypatch.setattr(pointwise, "_vertex_tests", counting_kernel)
+        monkeypatch.setattr(oracles, "_vertex_is_median", counting_oracle)
         values = dataset_values("4", 0, 1000, 1)
         assert same_bits(geometric_medians_batch(values), weiszfeld_oracle(values))
         kernel, oracle = Counter(tested["kernel"]), Counter(tested["oracle"])
         assert max(kernel.values()) == 1
         assert set(kernel) == set(oracle)  # the same pairs decided
         assert sum(oracle.values()) > 10 * len(kernel)
+
+    def test_batched_tests_decide_as_the_one_cloud_test(self):
+        # Gaussian, integer-valued and repeated-point clouds; one column
+        # tested alone and all of a block's columns tested together
+        rng = np.random.default_rng(3)
+        decided = snapped = 0
+        for trial in range(120):
+            n, b, d = int(rng.integers(3, 300)), int(rng.integers(1, 7)), int(rng.integers(2, 5))
+            pts = rng.normal(size=(n, b, d))
+            if trial % 3 == 1:
+                pts = np.round(pts)
+            elif trial % 3 == 2:
+                pts[: n // 3] = pts[0]
+            width = max(b, 2)
+            work = np.empty((d + 2, n, width))
+            work[:d, :, :b] = pts.transpose(2, 0, 1)
+            work[:d, :, b:] = work[:d, :, :1]
+            floor = 1e-14 * max(1.0, float(np.abs(pts).max()))
+            for cols in (np.arange(1), np.arange(b)):
+                verts = rng.integers(0, n, size=len(cols))
+                got = pointwise._vertex_tests(work[:d], cols, verts, floor, out=work[d:])
+                want = [oracles._vertex_is_median(pts[:, c, :], int(k), floor) for c, k in zip(cols, verts)]
+                assert got.tolist() == want, (trial, cols)
+                decided += len(cols)
+                snapped += sum(want)
+        assert snapped > 10 and decided > 500
 
     def test_newton_finish_needs_a_rejected_vertex_and_a_regular_hessian(self):
         pts = gaussian_draws(30)[29][:, 42:43]  # the median lies 1.2e-4 from point 8
@@ -429,3 +481,37 @@ class TestMedianVertexTests:
         args = (1e-13, 0.02, 1e-11)
         rejected = np.ones((5, 1), dtype=bool)
         assert pointwise._newton_finish(line, near, np.array([0]), rejected, *args) is None
+
+
+# prints the minor page faults per call of geometric_medians_batch on one
+# dataset-4 group of 1,000 curves, (1000, 50, 2), over 10 calls after 3 warm ones
+FAULTS_PER_MEDIAN_CALL = """
+import resource
+from dirout.pointwise import geometric_medians_batch
+from dirout.simulate import GeneratorSpec, generate
+values = generate(GeneratorSpec("4", 0, 1000, seed=2024)).values
+for _ in range(3):
+    geometric_medians_batch(values)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    geometric_medians_batch(values)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's page faults on Linux")
+def test_medians_do_not_page_fault_in_steady_state():
+    """One workspace holds the component-major points, the distances and the
+    term, and the vertex tests take their distances from it, so repeated
+    calls reuse heap pages instead of faulting them back in: fewer than 50
+    minor faults per call, against about 360 with separate temporaries."""
+    if any(name.startswith("MALLOC_") for name in os.environ):
+        pytest.skip("an allocator variable is set")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(pointwise.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_MEDIAN_CALL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = float(done.stdout)
+    print(f"minor page faults per median call: {faults}")
+    assert faults < 50
