@@ -187,7 +187,10 @@ def _vertex_tests(comps: np.ndarray, cols: np.ndarray, verts: np.ndarray, floor:
     The columns are gathered into one C-ordered, component-major (d, n, F)
     block, whose resultant adds the points one after another, as the test of
     one (n, d) cloud did; numpy sums a single column pairwise, so a lone
-    column is tested as two."""
+    column is tested as two. The resultant's norm is the running sum of
+    squares of ``_distances``, where the one-cloud test took np.linalg.norm
+    of a vector (a BLAS dot): the two may differ by an ulp, so a resultant
+    whose norm lies within an ulp of the bound can be decided the other way."""
     tested = len(cols)
     if tested == 1:
         cols, verts = np.repeat(cols, 2), np.repeat(verts, 2)
@@ -291,10 +294,11 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
         kmin = dist.argmin(axis=0)
         dmin = dist[kmin, cols]
         # the Weiszfeld step; the columns done, snapped below or degenerate keep z
-        if dmin.min() > floor:
+        near = np.flatnonzero(dmin <= floor)  # the columns with a point on the iterate
+        on = dist[:, near] <= floor
+        with np.errstate(divide="ignore"):
             w = np.divide(1.0, dist, out=dist)
-        else:  # a point sits on an iterate: its weight is 0
-            w = np.where(dist > floor, 1.0 / np.maximum(dist, floor), 0.0)
+        w[:, near] = np.where(on, 0.0, w[:, near])  # a point on the iterate has weight 0
         wsum = w[:, :B].sum(axis=0)  # (B,)
         degenerate = wsum == 0.0  # every point coincides with the iterate
         wsum[degenerate] = 1.0
