@@ -376,6 +376,15 @@ class TestMedianKernelAgainstWeiszfeldOracle:
         assert same_bits(med, weiszfeld_oracle(pts))
         assert any(np.array_equal(med[0], x) for x in cloud)
 
+    def test_start_on_a_point_that_is_not_the_median(self):
+        # the first iterate, the mean, is the cloud's first point: that point
+        # weighs 0 in the step, and the vertex test rejects it
+        cloud = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [-3.0, 0.0]])
+        pts = np.stack([cloud, cloud + 1.0], axis=1)
+        med = geometric_medians_batch(pts)
+        assert same_bits(med, weiszfeld_oracle(pts))
+        assert not any(np.array_equal(med[b], x) for b in (0, 1) for x in pts[:, b])
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_random_clouds(self, d):
         # d = 8 takes np.linalg.norm itself: numpy's add.reduce stops summing
