@@ -16,7 +16,6 @@ from .curves import (
 from .classify import (
     METHODS,
     BatchPredictions,
-    ClassifierConfig,
     TrainedModel,
     predict_batch,
     rp_directions,

@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curves import FunctionalGroup, Grid, check_same_grid
-from .errors import check_integer
 from .outlyingness import reference_frame, squared_mahalanobis, summarize_values
 from .pointwise import random_unit_directions
 from .robust import mcd_fit, rmd
@@ -36,7 +35,6 @@ from .simulate import cholesky_with_jitter
 
 __all__ = [
     "METHODS",
-    "ClassifierConfig",
     "TrainedModel",
     "BatchPredictions",
     "train",
@@ -44,23 +42,6 @@ __all__ = [
     "halfspace_counts",
     "rp_directions",
 ]
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Shared knobs: projection count for RP, Tukey direction count, MCD h."""
-
-    n_projections: int = 50
-    tukey_n_dirs: int = 500
-    mcd_h: int | None = None
-
-    def __post_init__(self):
-        for name in ("n_projections", "tukey_n_dirs", "mcd_h"):
-            if name != "mcd_h" or self.mcd_h is not None:
-                check_integer(name, getattr(self, name))
-        for name in ("n_projections", "tukey_n_dirs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +76,11 @@ class TrainedModel:
     groups: tuple[FunctionalGroup, ...]
     state: object
 
+
+# Directions each trained model draws once from its seed: random projections
+# for RP1 and RP2, random Tukey directions for multivariate FM1.
+N_PROJECTIONS = 50
+TUKEY_N_DIRS = 500
 
 # Correlation length of the random projection directions, as a fraction of
 # the grid span. Directions are Gaussian-process paths with exponential
@@ -213,11 +199,12 @@ def _fm_project(values: np.ndarray, dirs: np.ndarray, out: np.ndarray | None = N
     return even
 
 
-def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed: int = 0) -> TrainedModel:
+def train(groups, method: str, *, rng_seed: int = 0) -> TrainedModel:
     """Fit a classifier of the given method on K labeled groups.
 
-    RP directions (and, for multivariate FM1, Tukey directions) are drawn once
-    from the seed and shared across groups and all later queries.
+    The N_PROJECTIONS RP directions (and, for multivariate FM1, the
+    TUKEY_N_DIRS Tukey directions) are drawn once from the seed and shared
+    across groups and all later queries; RMD's MCD fits take the default h.
     """
     method = str(method).upper()
     if method not in METHODS:
@@ -229,16 +216,16 @@ def train(groups, method: str, config: ClassifierConfig | None = None, rng_seed:
     if len(set(labels)) != len(labels):
         raise ValueError("group labels must be distinct")
     check_same_grid(groups)
-    state = _METHODS[method].fit(groups, config or ClassifierConfig(), rng_seed)
+    state = _METHODS[method].fit(groups, rng_seed)
     return TrainedModel(method, labels, groups, state)
 
 
-def _frames(groups, config, seed) -> tuple[FunctionalGroup, ...]:
+def _frames(groups, seed) -> tuple[FunctionalGroup, ...]:
     """The groups, with the moments and medians RMD and VOM read computed now, in train."""
     return tuple(map(reference_frame, groups))
 
 
-def _fm2_fit(groups, config, seed):
+def _fm2_fit(groups, seed):
     return tuple(g.moments for g in groups)
 
 
@@ -248,15 +235,15 @@ def _features(values: np.ndarray, frame: FunctionalGroup) -> np.ndarray:
     return np.hstack([summaries.mo, summaries.vo[:, None]])
 
 
-def _rmd_fit(groups, config, seed):
+def _rmd_fit(groups, seed):
     """The groups and the MCD fit of each group's (MO, VO) features."""
-    frames = _frames(groups, config, seed)
+    frames = _frames(groups, seed)
     fits = []
     for i, g in enumerate(frames):
         if g.n < g.p + 4:
             raise ValueError(f"group {g.label!r} has n={g.n}; RMD needs at least p+4={g.p + 4}")
         feats = _features(g.values, g)
-        fits.append(mcd_fit(feats, h=config.mcd_h, rng_seed=derive_seed(seed, 1, i)))
+        fits.append(mcd_fit(feats, rng_seed=derive_seed(seed, 1, i)))
     return frames, tuple(fits)
 
 
@@ -278,11 +265,11 @@ def _fm2_score(moments, values: np.ndarray) -> np.ndarray:
     )
 
 
-def _fm1_fit(groups, config, seed):
+def _fm1_fit(groups, seed):
     """(D, p) Tukey directions, the grid weights and each group's curves;
     for p = 1 the direction 1: exact halfspace depth."""
     p, rng = groups[0].p, np.random.default_rng(derive_seed(seed, 3))
-    dirs = np.ones((1, 1)) if p == 1 else random_unit_directions(config.tukey_n_dirs, p, rng)
+    dirs = np.ones((1, 1)) if p == 1 else random_unit_directions(TUKEY_N_DIRS, p, rng)
     return dirs, groups[0].grid.weights, tuple(g.values for g in groups)
 
 
@@ -352,15 +339,15 @@ def _lower_by_tail(sorted_ref: np.ndarray, queries: np.ndarray, least: np.ndarra
         np.minimum.at(least, j, np.minimum(le, n - lt))
 
 
-def _rp_projections(groups, config, seed):
+def _rp_projections(groups, seed):
     """Shared directions, the weights, and each group's (n, NR) projections."""
     grid, rng = groups[0].grid, np.random.default_rng(derive_seed(seed, 2))
-    dirs = rp_directions(config.n_projections, grid, groups[0].p, rng)
+    dirs = rp_directions(N_PROJECTIONS, grid, groups[0].p, rng)
     return dirs, grid.weights, [_project(g.values, dirs, grid.weights) for g in groups]
 
 
-def _rp1_fit(groups, config, seed):
-    dirs, w, projections = _rp_projections(groups, config, seed)
+def _rp1_fit(groups, seed):
+    dirs, w, projections = _rp_projections(groups, seed)
     return dirs, w, tuple(np.sort(proj.T, axis=1) for proj in projections)
 
 
@@ -381,9 +368,12 @@ def _rp1_score(state, values: np.ndarray) -> np.ndarray:
     )
 
 
-def _rp2_fit(groups, config, seed):
-    dirs, w, projections = _rp_projections(groups, config, seed)
-    return dirs, w, tuple((proj.mean(axis=0), proj.var(axis=0, ddof=1)) for proj in projections)
+def _rp2_fit(groups, seed):
+    # one curve's variance is 0, not nan, so the degenerate rule scores it
+    dirs, w, projections = _rp_projections(groups, seed)
+    return dirs, w, tuple(
+        (proj.mean(axis=0), proj.var(axis=0, ddof=min(1, len(proj) - 1))) for proj in projections
+    )
 
 
 def _rp2_score(state, values: np.ndarray) -> np.ndarray:
@@ -409,7 +399,7 @@ def _rp_md_depths(proj_x: np.ndarray, moments) -> np.ndarray:
 
 
 class _Method(NamedTuple):
-    fit: Callable  # (groups, config, seed) -> the method's frozen state
+    fit: Callable  # (groups, seed) -> the method's frozen state
     score: Callable  # (state, values (N, m, p)) -> scores (N, K)
     higher_is_better: bool
 

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .classify import METHODS, ClassifierConfig, predict_batch, train
+from .classify import METHODS, predict_batch, train
 from .curves import derivative_augment, read_groups_csv, write_groups_csv, write_rows
 from .experiment import ExperimentSpec, emit_diagnostics, run_experiment
 from .simulate import DATASETS, GeneratorSpec, default_grid, generate
@@ -40,9 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--method", required=True)
     p_cls.add_argument("--seed", type=int, default=0)
     p_cls.add_argument("--derivatives", action="store_true")
-    p_cls.add_argument("--n-projections", type=int, default=50)
-    p_cls.add_argument("--tukey-n-dirs", type=int, default=500)
-    p_cls.add_argument("--mcd-h", type=int, default=None)
     p_cls.add_argument("--out", required=True)
 
     p_diag = sub.add_parser("diagnose", help="emit per-curve MO/VO/FO rows")
@@ -101,8 +98,7 @@ def _cmd_classify(args) -> int:
     groups = list(train_groups.values())
     if args.derivatives:
         groups = [derivative_augment(g) for g in groups]
-    config = ClassifierConfig(args.n_projections, args.tukey_n_dirs, args.mcd_h)
-    model = train(groups, method, config, rng_seed=args.seed)
+    model = train(groups, method, rng_seed=args.seed)
 
     header = ["curve_id", "true_group", "predicted"] + [f"score_{g}" for g in model.labels]
     rows = []

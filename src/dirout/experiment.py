@@ -9,11 +9,11 @@ per method as one rate per replicate.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .classify import METHODS, ClassifierConfig, predict_batch, train
+from .classify import METHODS, predict_batch, train
 from .curves import (
     FunctionalGroup, check_same_grid, default_curve_ids, derivative_augment, read_groups_csv, write_rows,
 )
@@ -46,7 +46,6 @@ class ExperimentSpec:
     seed: int = 0
     derivatives: bool = False
     m: int = 50
-    config: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self):
         if not isinstance(self.methods, (list, tuple)):
@@ -85,25 +84,18 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        """The spec of a JSON object of its fields; ``config`` may be left out."""
-        payload = _fields_of(cls, json.loads(text), "spec")
-        if "config" in payload:
-            payload["config"] = ClassifierConfig(**_fields_of(ClassifierConfig, payload["config"], "config"))
+        """The spec of a JSON object that names every required field and no
+        other; ``ValueError`` names the field."""
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"spec must be a JSON object, got {json.dumps(payload)}")
+        for f in fields(cls):
+            if f.name not in payload and f.default is MISSING:
+                raise ValueError(f"spec is missing field {f.name!r}")
+        unknown = sorted(payload.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"spec has unknown field {unknown[0]!r}")
         return cls(**payload)
-
-
-def _fields_of(cls, payload, what: str) -> dict:
-    """``payload``, checked to be a JSON object that names every required
-    field of dataclass ``cls`` and no other; ``ValueError`` names the field."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(payload)}")
-    for f in fields(cls):
-        if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{what} is missing field {f.name!r}")
-    unknown = sorted(payload.keys() - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"{what} has unknown field {unknown[0]!r}")
-    return payload
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +183,7 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
     rates = np.empty(len(spec.methods))
     for i, method in enumerate(spec.methods):
         try:
-            model = train(
-                train_groups, method, spec.config,
-                rng_seed=derive_seed(spec.seed, r, _ROLE_TRAIN + i),
-            )
+            model = train(train_groups, method, rng_seed=derive_seed(spec.seed, r, _ROLE_TRAIN + i))
             predicted = predict_batch(model, queries).label
         except Exception as exc:
             raise RuntimeError(f"replicate {r}, method {method}: {exc}") from exc

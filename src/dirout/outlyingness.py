@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import FunctionalGroup
-from .pointwise import PointwiseMoments, quadratic_forms
+from .pointwise import PointwiseMoments, distances, quadratic_forms
 from .pointwise import geometric_medians_batch  # unused here: perfbench/tracing.py wraps it by name
 
 __all__ = [
@@ -71,7 +71,7 @@ def pointwise_outlyingness(values: np.ndarray, reference: FunctionalGroup) -> np
         raise ValueError("curve values must be finite")
     maha2 = squared_mahalanobis(values, reference.moments)
     dev = values - reference.medians[None]
-    dist = np.linalg.norm(dev, axis=2)
+    dist = distances(values.transpose(2, 0, 1), reference.medians.T)
     safe = np.maximum(dist, ZERO_DIRECTION_TOL)
     unit = dev / safe[:, :, None]
     unit[dist < ZERO_DIRECTION_TOL] = 0.0

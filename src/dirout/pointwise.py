@@ -1,7 +1,8 @@
 """Point-wise building blocks across the grid: random unit directions for
 random Tukey depth, the moments and geometric medians that ``FunctionalGroup``
-computes once per group, the kernel of every squared Mahalanobis distance,
-and the small-matrix determinants and inverses of FAST-MCD.
+computes once per group, the kernels of every squared Mahalanobis distance
+and every Euclidean one, and the small-matrix determinants and inverses of
+FAST-MCD.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import ConvergenceError, SingularScatterError
 
 __all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "det_inv", "geometric_medians_batch",
-           "random_unit_directions"]
+           "random_unit_directions", "distances"]
 
 # Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
 # the diagonal, only where the eigenvalue ratio exceeds COND_LIMIT.
@@ -154,7 +155,7 @@ def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:
     return dirs / norms
 
 
-def _distances(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def distances(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|points[:, i, b] - z[:, b]| for component-major (d, n, B) points and
     (d, B) z: (n, B).
 
@@ -188,7 +189,7 @@ def _vertex_tests(comps: np.ndarray, cols: np.ndarray, verts: np.ndarray, floor:
     block, whose resultant adds the points one after another, as the test of
     one (n, d) cloud did; numpy sums a single column pairwise, so a lone
     column is tested as two. The resultant's norm is the running sum of
-    squares of ``_distances``, where the one-cloud test took np.linalg.norm
+    squares of ``distances``, where the one-cloud test took np.linalg.norm
     of a vector (a BLAS dot): the two may differ by an ulp, so a resultant
     whose norm lies within an ulp of the bound can be decided the other way."""
     tested = len(cols)
@@ -196,13 +197,13 @@ def _vertex_tests(comps: np.ndarray, cols: np.ndarray, verts: np.ndarray, floor:
         cols, verts = np.repeat(cols, 2), np.repeat(verts, 2)
     u = np.take(comps, cols, axis=2)  # C-ordered, unlike comps[:, :, cols]
     vertex = comps[:, verts, cols]
-    norms = _distances(u, vertex, out=out[:, :, : len(cols)])
+    norms = distances(u, vertex, out=out[:, :, : len(cols)])
     coincident = norms <= floor
     norms[coincident] = np.inf  # the unit vectors of the vertex's copies count as zero
     u -= vertex[:, None, :]
     u /= norms
     resultant = u.sum(axis=1)[:, None, :]
-    median = _distances(resultant, np.zeros_like(resultant[:, 0]))[0] <= coincident.sum(axis=0) + 1e-12
+    median = distances(resultant, np.zeros_like(resultant[:, 0]))[0] <= coincident.sum(axis=0) + 1e-12
     return median[:tested]
 
 
@@ -218,7 +219,7 @@ def _newton_finish(points, z, cols, rejected, floor, radius, tol):
     """
     pts = points[:, cols, :]
     zc = z[cols]
-    dist = _distances(pts.transpose(2, 0, 1), zc.T)
+    dist = distances(pts.transpose(2, 0, 1), zc.T)
     kmin = dist.argmin(axis=0)
     if not np.all((dist[kmin, np.arange(cols.size)] < radius) & rejected[kmin, cols]):
         return None
@@ -238,7 +239,7 @@ def _newton_finish(points, z, cols, rejected, floor, radius, tol):
             out = z.copy()
             out[cols] = zc
             return out
-        dist = _distances(pts.transpose(2, 0, 1), zc.T)
+        dist = distances(pts.transpose(2, 0, 1), zc.T)
     return None
 
 
@@ -290,7 +291,7 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
     rejected = np.zeros((n, width), dtype=bool)  # (vertex, column): not the median
     steps = np.full(width, np.inf)
     for _ in range(_MAX_ITER):
-        dist = _distances(comps, z, out=buf)  # (n, width)
+        dist = distances(comps, z, out=buf)  # (n, width)
         kmin = dist.argmin(axis=0)
         dmin = dist[kmin, cols]
         # the Weiszfeld step; the columns done, snapped below or degenerate keep z
@@ -318,7 +319,7 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
         if done.all():
             return z[:, :B].T.copy()
         np.copyto(z_new, z, where=done | degenerate)
-        steps = _distances(z_new[:, None, :], z)[0]
+        steps = distances(z_new[:, None, :], z)[0]
         z, z_new = z_new, z
         if steps.max() <= _TOL * scale:
             return z[:, :B].T.copy()

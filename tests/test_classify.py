@@ -11,7 +11,6 @@ from dirout import classify, curves
 from dirout.classify import (
     _METHODS,
     METHODS,
-    ClassifierConfig,
     _fm_project,
     halfspace_counts,
     predict_batch,
@@ -20,6 +19,7 @@ from dirout.classify import (
 from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
 from dirout.outlyingness import reference_frame, summarize_values
+from dirout.robust import default_h
 from dirout.simulate import (
     DATASETS,
     UNIVARIATE,
@@ -45,26 +45,20 @@ def one_curve(values, grid):
     return FunctionalGroup.from_values("x0", np.asarray(values)[None], grid)
 
 
-def group_score(grp, method, x0, config=None, rng_seed=0):
+def group_score(grp, method, x0, rng_seed=0):
     """The method's score of the one-curve group x0 within grp, trained
     against a shifted copy."""
     other = FunctionalGroup.from_values("other", grp.values + 1.0, grp.grid)
-    return predict_batch(train([grp, other], method, config, rng_seed), x0).scores[0, 0]
+    return predict_batch(train([grp, other], method, rng_seed=rng_seed), x0).scores[0, 0]
 
 
 class TestTrain:
-    @pytest.mark.parametrize("field", ["n_projections", "tukey_n_dirs"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_config_rejects_counts_below_one(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
-            ClassifierConfig(**{field: value})
-
-    @pytest.mark.parametrize("field", ["n_projections", "tukey_n_dirs", "mcd_h"])
-    @pytest.mark.parametrize("value", [True, False])
-    def test_config_rejects_booleans(self, field, value):
-        # a bool is an Integral: True would silently draw one direction
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
-            ClassifierConfig(**{field: value})
+    def test_the_seed_is_keyword_only(self):
+        # a third positional argument, once a settings object, is not taken as the seed
+        rng = np.random.default_rng(0)
+        groups = [gaussian_group(rng, "a"), gaussian_group(rng, "b", shift=1.0)]
+        with pytest.raises(TypeError):
+            train(groups, "RP1", 0)
 
     def test_identical_groups_tie_to_first_label(self):
         rng = np.random.default_rng(0)
@@ -247,13 +241,14 @@ class TestHalfspaceCounts:
     @pytest.mark.parametrize(
         "method,p", [("FM1", 1), ("FM1", 2), ("FM2", 2), ("RP1", 1), ("RP1", 2), ("RP2", 2)]
     )
-    def test_batch_scores_equal_single_predictions(self, method, p):
+    def test_batch_scores_equal_single_predictions(self, method, p, monkeypatch):
+        monkeypatch.setattr(classify, "TUKEY_N_DIRS", 60)
         rng = np.random.default_rng(41)
         g1 = gaussian_group(rng, "a", n=20, p=p)
         g2 = gaussian_group(rng, "b", n=20, p=p, shift=0.5)
         # include a reference curve itself, tied with it in every direction
         values = np.concatenate([rng.normal(size=(13, 10, p)), g1.values[3:4]])
-        model = train([g1, g2], method, ClassifierConfig(tukey_n_dirs=60), rng_seed=42)
+        model = train([g1, g2], method, rng_seed=42)
         batch = predict_batch(model, FunctionalGroup.from_values("q", values, g1.grid))
         for curve, scores in zip(values, batch.scores):
             assert np.array_equal(predict_batch(model, one_curve(curve, g1.grid)).scores[0], scores)
@@ -287,7 +282,9 @@ class TestFm1Blocks:
         queries = np.concatenate(
             [picked, np.nextafter(picked, np.inf), np.nextafter(picked, -np.inf), fresh]
         )
-        model = train(groups, "FM1", ClassifierConfig(tukey_n_dirs=60), rng_seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "TUKEY_N_DIRS", 60)
+            model = train(groups, "FM1", rng_seed=seed)
         dirs, w, _ = model.state
         assert len(dirs) == (1 if p == 1 else 60)
         scores = _METHODS["FM1"].score(model.state, queries)
@@ -542,26 +539,41 @@ class TestFrameStatistics:
 
 
 class TestFunctionalDepthRp:
-    def test_identical_curves_get_full_md_depth(self):
+    def test_a_group_of_one_curve(self):
+        # one curve has no spread: RP2 scores it by the degenerate rule,
+        # depth 1 at the curve and 0 elsewhere, not by a nan variance
+        rng = np.random.default_rng(19)
+        a, b = gaussian_group(rng, "a", n=1), gaussian_group(rng, "b", shift=3.0)
+        values = np.concatenate([a.values, 3.0 + rng.normal(size=(5, 10, 1))])
+        queries = FunctionalGroup.from_values("q", values, a.grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds = {m: predict_batch(train([a, b], m), queries) for m in ("RP2", "RP1", "FM1")}
+        for method, pred in preds.items():
+            assert pred.label.tolist() == ["a"] + ["b"] * 5, method
+        assert preds["RP2"].scores[0, 0] == 1.0 and (preds["RP2"].scores[1:, 0] == 0.0).all()
+
+    def test_identical_curves_get_full_md_depth(self, monkeypatch):
+        monkeypatch.setattr(classify, "N_PROJECTIONS", 5)
         g = uniform_grid()
         vals = np.tile(np.sin(2 * np.pi * g.points)[None, :, None], (6, 1, 1))
         grp = FunctionalGroup.from_values("g", vals, g)
-        config = ClassifierConfig(n_projections=5)
-        assert group_score(grp, "RP2", one_curve(vals[0], g), config, rng_seed=20) == 1.0
+        assert group_score(grp, "RP2", one_curve(vals[0], g), rng_seed=20) == 1.0
 
-    def test_extreme_curve_has_zero_td_depth(self):
+    def test_extreme_curve_has_zero_td_depth(self, monkeypatch):
+        monkeypatch.setattr(classify, "N_PROJECTIONS", 8)
         rng = np.random.default_rng(21)
         grp = gaussian_group(rng, "g", n=15)
         # dominate every projection by scaling far beyond the group's range
         x0 = one_curve(np.full((10, 1), 1e6), grp.grid)
-        config = ClassifierConfig(n_projections=8)
-        assert group_score(grp, "RP1", x0, config, rng_seed=21) == 0.0
+        assert group_score(grp, "RP1", x0, rng_seed=21) == 0.0
 
-    def test_matches_manual_three_projection_average(self):
+    def test_matches_manual_three_projection_average(self, monkeypatch):
+        monkeypatch.setattr(classify, "N_PROJECTIONS", 3)
         rng = np.random.default_rng(22)
         grp = gaussian_group(rng, "g", n=6, m=5)
         other = gaussian_group(rng, "other", n=6, m=5)
-        model = train([grp, other], "RP1", ClassifierConfig(n_projections=3), rng_seed=22)
+        model = train([grp, other], "RP1", rng_seed=22)
         dirs = model.state[0]
         x0 = one_curve(rng.normal(size=(5, 1)), grp.grid)
         w = grp.grid.weights
@@ -591,14 +603,14 @@ class TestGroupOrder:
     # deriving them from the label instead would move the stored digests
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("method", ["VOM", "FM1", "FM2", "RP1", "RP2"])
-    def test_permuting_groups_permutes_scores(self, method, p):
+    def test_permuting_groups_permutes_scores(self, method, p, monkeypatch):
+        monkeypatch.setattr(classify, "TUKEY_N_DIRS", 60)
         rng = np.random.default_rng(43)
         a, b, c = (gaussian_group(rng, k, n=20, p=p, shift=s) for k, s in zip("abc", (0, 0.5, 1)))
         values = np.concatenate([rng.normal(0.5, size=(15, 10, p)), a.values[:1]])
         queries = FunctionalGroup.from_values("q", values, a.grid)
-        config = ClassifierConfig(tukey_n_dirs=60)
-        abc = predict_batch(train([a, b, c], method, config, rng_seed=44), queries)
-        cab = predict_batch(train([c, a, b], method, config, rng_seed=44), queries)
+        abc = predict_batch(train([a, b, c], method, rng_seed=44), queries)
+        cab = predict_batch(train([c, a, b], method, rng_seed=44), queries)
         assert np.array_equal(cab.scores, abc.scores[:, [2, 0, 1]])
         unique = 0
         for x_label, x_scores, y_label in zip(abc.label, abc.scores, cab.label):
@@ -684,13 +696,15 @@ class TestInvariances:
             assert p1.label.tolist() == p2.label.tolist()
             assert np.array_equal(p1.scores, p2.scores)
 
-    def test_config_knobs_respected(self):
+    def test_direction_constants_and_the_default_mcd_h(self, monkeypatch):
         rng = np.random.default_rng(30)
         g1 = gaussian_group(rng, "a", n=20)
         g2 = gaussian_group(rng, "b", n=20, shift=1.0)
-        config = ClassifierConfig(n_projections=7, tukey_n_dirs=11, mcd_h=15)
-        model = train([g1, g2], "RP1", config, rng_seed=31)
-        assert model.state[0].shape == (7, 10, 1)
-        model = train([g1, g2], "RMD", config, rng_seed=31)
-        _, fits = model.state
-        assert all(fit.h == 15 for fit in fits)
+        monkeypatch.setattr(classify, "N_PROJECTIONS", 7)
+        monkeypatch.setattr(classify, "TUKEY_N_DIRS", 11)
+        assert train([g1, g2], "RP1", rng_seed=31).state[0].shape == (7, 10, 1)
+        h1, h2 = (gaussian_group(rng, k, n=20, p=2) for k in "ab")
+        assert train([h1, h2], "FM1", rng_seed=31).state[0].shape == (11, 2)
+        # the (MO, VO) features of p = 1 curves are 2-vectors
+        _, fits = train([g1, g2], "RMD", rng_seed=31).state
+        assert [fit.h for fit in fits] == [default_h(20, 2)] * 2

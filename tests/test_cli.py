@@ -145,15 +145,25 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_classify_rejects_zero_tukey_directions(tmp_path, capsys):
-    data = tmp_path / "d4.csv"
-    assert main(["simulate", "--data", "4", "--class", "0", "--n", "5", "--m", "8",
-                 "--out", str(data)]) == 0
+@pytest.mark.parametrize("flag", ["--n-projections", "--tukey-n-dirs", "--mcd-h"])
+def test_classify_refuses_the_removed_settings_flags(tmp_path, capsys, flag):
+    # argparse refuses the flag before any file is read
     out = tmp_path / "pred.csv"
-    rc = main(["classify", "--train", str(data), "--test", str(data), "--method", "FM1",
-               "--tukey-n-dirs", "0", "--out", str(out)])
-    assert rc == 1
-    assert "error: tukey_n_dirs must be at least 1, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["classify", "--train", "t.csv", "--test", "t.csv", "--method", "FM1", flag, "5",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_refuses_a_spec_that_sets_classifier_settings(tmp_path, capsys):
+    spec = {"dataset": "4", "methods": ["RP1"], "n_train": 10, "n_test": 5, "replicates": 2, "m": 10,
+            "config": {"n_projections": 5}}
+    spec_f, out = tmp_path / "spec.json", tmp_path / "rates.csv"
+    spec_f.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spec has unknown field 'config'\n"
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dirout import curves, experiment
-from dirout.classify import METHODS, ClassifierConfig
+from dirout.classify import METHODS
 from dirout.curves import FunctionalGroup, Grid, write_groups_csv
 from dirout.experiment import (
     ExperimentResult,
@@ -122,18 +122,6 @@ class TestRunExperiment:
     def test_json_round_trip(self):
         spec = ExperimentSpec("1c", ("VOM", "RMD"), n_train=10, n_test=10, replicates=2, seed=9)
         assert ExperimentSpec.from_json(spec.to_json()) == spec
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("n_projections", 5.0), ("tukey_n_dirs", 50.0), ("mcd_h", 20.0), ("mcd_h", "7"),
-         ("tukey_n_dirs", True), ("mcd_h", True)],
-    )
-    def test_json_config_rejects_non_integers(self, field, value):
-        spec = ExperimentSpec("1", ("RP1",), n_train=10, n_test=10, replicates=1)
-        payload = json.loads(spec.to_json())
-        payload["config"][field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
-            ExperimentSpec.from_json(json.dumps(payload))
 
 
 class TestSharedFrames:
@@ -272,9 +260,10 @@ class TestSpecValidation:
     def test_an_unknown_field_is_named(self):
         with pytest.raises(ValueError, match="^spec has unknown field 'method'$"):
             ExperimentSpec.from_json(json.dumps({**self.BASE, "method": ["RMD"]}))
-        payload = {**self.BASE, "config": {"n_projections": 5, "n_dirs": 50}}
-        with pytest.raises(ValueError, match="^config has unknown field 'n_dirs'$"):
-            ExperimentSpec.from_json(json.dumps(payload))
+        # the classifier settings are constants; a spec that sets one is refused
+        for config in ({"n_projections": 5}, {}, None):
+            with pytest.raises(ValueError, match="^spec has unknown field 'config'$"):
+                ExperimentSpec.from_json(json.dumps({**self.BASE, "config": config}))
 
     def test_methods_given_as_a_string_are_rejected(self):
         message = "^methods must be a list of method names, got 'RMD'$"
@@ -282,14 +271,3 @@ class TestSpecValidation:
             ExperimentSpec.from_json(json.dumps({**self.BASE, "methods": "RMD"}))
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{**self.BASE, "methods": "RMD"})
-
-    @pytest.mark.parametrize("text", ["null", "[]", "5", '"RP1"'])
-    def test_a_config_that_is_not_an_object_is_rejected(self, text):
-        spec = json.dumps(self.BASE)[:-1] + f', "config": {text}}}'
-        with pytest.raises(ValueError, match=f"^config must be a JSON object, got {re.escape(text)}$"):
-            ExperimentSpec.from_json(spec)
-
-    def test_a_config_may_be_left_out_or_partial(self):
-        assert ExperimentSpec.from_json(json.dumps(self.BASE)).config == ClassifierConfig()
-        spec = ExperimentSpec.from_json(json.dumps({**self.BASE, "config": {"mcd_h": 9}}))
-        assert spec.config == ClassifierConfig(mcd_h=9)

@@ -8,12 +8,13 @@ from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import SingularScatterError
 from dirout.experiment import emit_diagnostics
 from dirout.outlyingness import (
+    ZERO_DIRECTION_TOL,
     check_transformation_invariance,
     pointwise_outlyingness,
     reference_frame,
     summarize_values,
 )
-from dirout.pointwise import geometric_medians_batch
+from dirout.pointwise import distances, geometric_medians_batch
 from dirout.simulate import GeneratorSpec, generate
 from oracles import mahalanobis_depth
 
@@ -101,6 +102,23 @@ class TestPointwiseOutlyingness:
             t_ref = FunctionalGroup.from_values("r", ref.values @ a0.T + b, ref.grid)
             o_t = pointwise_outlyingness(t_curve[None], t_ref)[0]
             assert np.max(np.abs(o_t - o @ a0.T)) < 1e-8
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_distances_keep_the_bits_of_linalg_norm(self, p):
+        # the distance to the medians is np.linalg.norm's over the (N, m, p)
+        # deviations, for contiguous curves and for a strided view
+        rng = np.random.default_rng(p)
+        ref = random_group(rng, n=30, p=p)
+        wide = rng.normal(size=(40, 10, 2 * p)) * 10.0 ** rng.integers(-3, 4, size=2 * p)
+        wide[0, :, :p] = ref.medians
+        for values in (np.ascontiguousarray(wide[:, :, :p]), wide[::2, :, ::2]):
+            dev = values - ref.medians[None]
+            dist = np.linalg.norm(dev, axis=2)
+            assert same_bits(distances(values.transpose(2, 0, 1), ref.medians.T), dist)
+            unit = dev / np.maximum(dist, ZERO_DIRECTION_TOL)[:, :, None]
+            unit[dist < ZERO_DIRECTION_TOL] = 0.0
+            expected = outlyingness.squared_mahalanobis(values, ref.moments)[:, :, None] * unit
+            assert same_bits(pointwise_outlyingness(values, ref), expected)
 
 
 class TestSummaries:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirout import pointwise
-from dirout.classify import ClassifierConfig, predict_batch, train
+from dirout import classify, pointwise
+from dirout.classify import predict_batch, train
 from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
 from dirout.outlyingness import reference_frame, squared_mahalanobis
@@ -32,11 +32,11 @@ def cloud_group(cloud, label="g"):
     return FunctionalGroup.from_values(label, np.repeat(pts[:, None, :], M, axis=1), grid())
 
 
-def depth(method, x, cloud, config=None):
+def depth(method, x, cloud):
     """The FM1 or FM2 score of the constant curve x within the cloud's group:
     its point-wise depth, since the grid weights sum to one."""
     grp = cloud_group(cloud)
-    model = train([grp, cloud_group(grp.values[:, 0] + 1.0, "other")], method, config)
+    model = train([grp, cloud_group(grp.values[:, 0] + 1.0, "other")], method)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return predict_batch(model, cloud_group([x], "x")).scores[0, 0]
 
@@ -97,18 +97,18 @@ class TestTukeyDepth1d:
 
 
 class TestRandomTukeyDepth:
-    """FM1's point-wise random Tukey depth over ``tukey_n_dirs`` directions."""
+    """FM1's point-wise random Tukey depth over ``TUKEY_N_DIRS`` directions."""
 
-    def test_1d_matches_exact(self):
+    def test_1d_matches_exact(self, monkeypatch):
+        monkeypatch.setattr(classify, "TUKEY_N_DIRS", 17)
         cloud = np.array([0.5, 1.0, 2.0, 7.0])
-        config = ClassifierConfig(tukey_n_dirs=17)
         for x in (0.0, 1.0, 3.0):
             exact = count_depth(x, cloud)
-            assert depth("FM1", x, cloud, config) == pytest.approx(exact, abs=1e-12)
+            assert depth("FM1", x, cloud) == pytest.approx(exact, abs=1e-12)
 
-    def test_identical_points_give_full_depth(self):
-        config = ClassifierConfig(tukey_n_dirs=50)
-        assert depth("FM1", [1.0, 1.0], np.ones((6, 2)), config) == pytest.approx(1.0, abs=1e-12)
+    def test_identical_points_give_full_depth(self, monkeypatch):
+        monkeypatch.setattr(classify, "TUKEY_N_DIRS", 50)
+        assert depth("FM1", [1.0, 1.0], np.ones((6, 2))) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cross(self):
         # exhaustive sweep at 1-degree steps confirms the center's depth is 1/2
@@ -116,19 +116,19 @@ class TestRandomTukeyDepth:
         angles = np.deg2rad(np.arange(0.5, 180.0, 1.0))
         sweep = min(count_depth(0.0, cloud @ np.array([np.cos(a), np.sin(a)])) for a in angles)
         assert sweep == 0.5
-        config = ClassifierConfig(tukey_n_dirs=500)
-        assert depth("FM1", [0.0, 0.0], cloud, config) == pytest.approx(0.5, abs=1e-12)
+        assert classify.TUKEY_N_DIRS == 500
+        assert depth("FM1", [0.0, 0.0], cloud) == pytest.approx(0.5, abs=1e-12)
 
-    def test_monotone_in_direction_count(self):
+    def test_monotone_in_direction_count(self, monkeypatch):
         # the first k seeded directions are shared, so each point-wise minimum
         # and hence the integrated depth can only fall as k grows
         rng = np.random.default_rng(6)
         groups = [FunctionalGroup.from_values(k, rng.normal(size=(40, M, 3)), grid()) for k in "ab"]
         x = FunctionalGroup.from_values("x", rng.normal(size=(1, M, 3)), grid())
-        models = [
-            train(groups, "FM1", ClassifierConfig(tukey_n_dirs=k), rng_seed=7)
-            for k in (1, 5, 20, 100, 400)
-        ]
+        models = []
+        for k in (1, 5, 20, 100, 400):
+            monkeypatch.setattr(classify, "TUKEY_N_DIRS", k)
+            models.append(train(groups, "FM1", rng_seed=7))
         for small, large in zip(models, models[1:]):
             k = small.state[0].shape[0]
             assert np.array_equal(large.state[0][:k], small.state[0])
