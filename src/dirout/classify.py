@@ -39,7 +39,6 @@ __all__ = [
     "BatchPredictions",
     "train",
     "predict_batch",
-    "halfspace_counts",
     "rp_directions",
 ]
 
@@ -157,15 +156,6 @@ def _sort_queries(queries: np.ndarray):
     return np.take(queries, flat), flat
 
 
-def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray):
-    """Exact halfspace counts (#{ref <= q}, #{ref >= q}) of (R, N) queries
-    against (R, n) ascending reference rows, row by row."""
-    sorted_q, flat = _sort_queries(queries)
-    counts = np.empty((2, queries.size), dtype=np.intp)
-    counts[:, flat] = _sorted_counts(sorted_ref, sorted_q)
-    return counts.reshape((2,) + queries.shape)
-
-
 def _tukey_counts(sorted_ref: np.ndarray, sorted_q: np.ndarray, flat: np.ndarray, out: np.ndarray):
     """min(#{ref <= q}, #{ref >= q}) of sorted queries, put back at the
     queries' own places (``flat`` from ``_sort_queries``) in the C-contiguous
@@ -175,27 +165,31 @@ def _tukey_counts(sorted_ref: np.ndarray, sorted_q: np.ndarray, flat: np.ndarray
     return out
 
 
-def _fm_project(values: np.ndarray, dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _fm_project(
+    values: np.ndarray, dirs: np.ndarray, out: np.ndarray | None = None, scratch=()
+) -> np.ndarray:
     """Projections onto the Tukey directions, (N, m, p) -> (m, D, N), made the
     same way for references and queries so that equal curves tie exactly;
-    written into ``out`` when one is given.
+    written into ``out`` when one is given, with the odd sum and the later
+    terms in views of the flat float arrays of ``scratch``.
 
-    The products of the even components are added in order, then those of
-    the odd ones, the two sums, and +0.0 last: the bits of
-    ``einsum("nmk,dk->mdn")``, which adds into a zeroed output. A sum that
-    starts from +0.0 differs from one that does not only by reading +0.0
-    for -0.0, so one +0.0 at the end is the same.
+    Each component's products are one einsum outer product. The even
+    components' are added in order, then the odd ones', then the two sums:
+    the bits of ``einsum("nmk,dk->mdn")``. Einsum adds each product into a
+    zeroed output, so no product is -0.0 and no sum of them can be; that is
+    the one way a sum that starts from +0.0 could differ.
     """
-    comps = np.ascontiguousarray(values.transpose(2, 1, 0))[:, :, None, :]  # (p, m, 1, N)
-    weights = dirs.T[:, :, None]  # (p, D, 1)
-    even = np.multiply(comps[0], weights[0], out=out)
+    comps = np.ascontiguousarray(values.transpose(2, 1, 0))  # (p, m, N)
+    shape = (comps.shape[1], len(dirs), comps.shape[2])
+    # einsum allocates the odd sum or a term where ``scratch`` holds no array for it
+    odd, term = [s[:math.prod(shape)].reshape(shape) for s in scratch] + [None] * (2 - len(scratch))
+    even = np.einsum("d,mn->mdn", dirs.T[0], comps[0], out=out)
     if len(comps) > 1:
-        odd = comps[1] * weights[1]
+        odd = np.einsum("d,mn->mdn", dirs.T[1], comps[1], out=odd)
         for k in range(2, len(comps)):
             sums = (even, odd)[k % 2]
-            sums += comps[k] * weights[k]
+            sums += np.einsum("d,mn->mdn", dirs.T[k], comps[k], out=term)
         even += odd
-    even += 0.0
     return even
 
 
@@ -294,17 +288,19 @@ def _fm1_score(state, values: np.ndarray) -> np.ndarray:
     depths = [np.empty((N, m)) for _ in refs]
     q_buffer = np.empty((step, D, N))
     ref_buffers = [np.empty((step, D, len(ref))) for ref in refs]
+    # the odd sum and, for p >= 3, each later term, for the queries and every group
+    scratch = [np.empty(step * D * max(N, *map(len, refs))) for _ in range(min(dirs.shape[1], 3) - 1)]
     counts = np.empty((step * head, N), dtype=np.intp)
     tail = (np.empty((D - head, N)), np.empty((D - head, N), dtype=bool),
             np.empty((D - head, N), dtype=bool), np.empty(N, dtype=np.intp))
     for block in blocks:
         size = min(block.stop, m) - block.start
-        proj_q = _fm_project(values[:, block], dirs, q_buffer[:size])
+        proj_q = _fm_project(values[:, block], dirs, q_buffer[:size], scratch)
         sorted_q, flat = _sort_queries(proj_q[:, :head].reshape(-1, N))
         rows = counts[:len(sorted_q)]
         for depth, ref, buffer in zip(depths, refs, ref_buffers):
             n = len(ref)
-            sorted_ref = _fm_project(ref[:, block], dirs, buffer[:size])
+            sorted_ref = _fm_project(ref[:, block], dirs, buffer[:size], scratch)
             sorted_ref.sort(axis=2)
             _tukey_counts(sorted_ref[:, :head].reshape(-1, n), sorted_q, flat, rows)
             least = rows.reshape(size, head, N).min(axis=1)

@@ -16,12 +16,14 @@ cofactor expansion (det_inv), not the library's stacked kernel. The library
 screens all starts in stacked passes, iterates the best N_KEEP candidates
 as one stack, and must return its every fit bit for bit. FM1 scores are counted here one grid point
 and one direction at a time, from the library's own projections; the
-einsum those projections replaced must give the same bits.
+einsum those projections replaced must give the same bits. The halfspace
+counts of every query against its reference row come from the library's
+merge, so that the brute-force test sees the merge and its tie pairs.
 """
 
 import numpy as np
 
-from dirout.classify import _fm_project
+from dirout.classify import _fm_project, _sort_queries, _sorted_counts
 from dirout.errors import ConvergenceError, DegenerateDataError, SingularScatterError
 from dirout.pointwise import COND_LIMIT, RIDGE_EPS
 from dirout.robust import (
@@ -373,6 +375,15 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     if det <= 0.0:
         raise DegenerateDataError("minimum-determinant subset covariance is singular")
     return scaled_back(np.sort(subset), loc, cov, det, consistency_factor(h, n, d))
+
+
+def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray):
+    """Exact halfspace counts (#{ref <= q}, #{ref >= q}) of (R, N) queries
+    against (R, n) ascending reference rows, row by row."""
+    sorted_q, flat = _sort_queries(queries)
+    counts = np.empty((2, queries.size), dtype=np.intp)
+    counts[:, flat] = _sorted_counts(sorted_ref, sorted_q)
+    return counts.reshape((2,) + queries.shape)
 
 
 def fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:

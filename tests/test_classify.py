@@ -12,7 +12,6 @@ from dirout.classify import (
     _METHODS,
     METHODS,
     _fm_project,
-    halfspace_counts,
     predict_batch,
     train,
 )
@@ -28,7 +27,7 @@ from dirout.simulate import (
     derivative_dataset,
     generate,
 )
-from oracles import fm1_scores, fm_project, mahalanobis_depth
+from oracles import fm1_scores, fm_project, halfspace_counts, mahalanobis_depth
 
 
 def uniform_grid(m=10):
@@ -302,6 +301,25 @@ class TestFm1Blocks:
             values, dirs = np.round(values, decimals), np.round(dirs, decimals)
         projected = _fm_project(values, dirs)
         assert projected.shape == (7, 60, 30) and projected.flags.c_contiguous
+        assert projected.tobytes() == fm_project(values, dirs).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_projection_allocates_no_block_temporary(self, p):
+        # one grid point at the benchmark's D = 500 and N = 200: the odd sum,
+        # and for p = 3 the third component's products, go to the scratch
+        # arrays, so no (1, D, N) temporary is made
+        rng = np.random.default_rng(p)
+        values = rng.normal(size=(200, 1, p))
+        dirs = rng.normal(size=(500, p))
+        out = np.empty((1, 500, 200))
+        scratch = [np.empty(out.size) for _ in range(p - 1)]
+        tracemalloc.start()
+        try:
+            projected = _fm_project(values, dirs, out, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert projected is out and peak < out.nbytes / 4
         assert projected.tobytes() == fm_project(values, dirs).tobytes()
 
     def test_predict_memory_stays_below_a_quarter_of_one_projection(self):

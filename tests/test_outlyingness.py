@@ -103,6 +103,21 @@ class TestPointwiseOutlyingness:
             o_t = pointwise_outlyingness(t_curve[None], t_ref)[0]
             assert np.max(np.abs(o_t - o @ a0.T)) < 1e-8
 
+    @pytest.mark.parametrize("gap,zero", [(1e-10, False), (1e-13, True)])
+    def test_direction_is_dropped_only_below_the_zero_tolerance(self, gap, zero):
+        # 1e-12 from the point-wise median: a curve 1e-10 away keeps the
+        # direction of its deviation, one 1e-13 away is taken as on it
+        rng = np.random.default_rng(3)
+        ref = random_group(rng)
+        curve = reference_frame(ref).medians + [gap, 0.0]
+        o = pointwise_outlyingness(curve[None], ref)[0]
+        if zero:
+            assert np.all(o == 0.0)
+        else:
+            maha2 = outlyingness.squared_mahalanobis(curve[None], ref.moments)[0]
+            assert np.all(maha2 > 1e-3)
+            assert o[:, 0] == pytest.approx(maha2, rel=1e-4) and np.all(np.abs(o[:, 1]) < 1e-4 * maha2)
+
     @pytest.mark.parametrize("p", range(1, 10))
     def test_distances_keep_the_bits_of_linalg_norm(self, p):
         # the distance to the medians is np.linalg.norm's over the (N, m, p)

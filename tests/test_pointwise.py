@@ -271,6 +271,24 @@ class TestQuadraticForms:
         assert got.shape == out[0].shape and np.shares_memory(got, out[0])
 
 
+class TestCovarianceRidge:
+    """``pointwise_moments`` adds 1e-10 x trace / p to the diagonal of a
+    covariance whose eigenvalue ratio exceeds 1e12, and leaves the others."""
+
+    @pytest.mark.parametrize("ratio,ridged", [(1e11, False), (1e13, True)])
+    def test_ridge_only_above_the_ratio_limit(self, ratio, ridged):
+        # four points at one grid point: covariance diag(2/3, 2/3 / ratio)
+        c = np.sqrt(1.0 / ratio)
+        points = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, c], [0.0, -c]])
+        cov = points.T @ points / 3.0
+        assert np.linalg.cond(cov) == pytest.approx(ratio, rel=1e-6)
+        if ridged:
+            cov += 1e-10 * np.trace(cov) / 2.0 * np.eye(2)
+        inv_cov = pointwise_moments(points[:, None, :], np.ones(1), "g").inv_cov[0]
+        # the ridge is 5.0e-11 x 2/3 on an eigenvalue of 2/3 / ratio
+        assert inv_cov == pytest.approx(np.linalg.inv(cov), rel=1e-9, abs=1e-9)
+
+
 class TestDetInv:
     """``det_inv``'s cofactor formulas against LAPACK, which computes by LU
     and so rounds differently: the tolerance is 16 d eps cond(A), relative
