@@ -102,9 +102,21 @@ def rp_directions(n_dirs: int, grid: Grid, p: int, rng) -> np.ndarray:
     return dirs / norms[:, None, None]
 
 
-def _project(values: np.ndarray, dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Inner products <a_j, x_i> summed over components: (N, m, p) -> (N, NR)."""
-    return np.einsum("dmk,m,nmk->nd", dirs, weights, values)
+def _project(values: np.ndarray, dirs_w: np.ndarray) -> np.ndarray:
+    """Inner products <a_d, x_i> of (N, m, p) curves with the (p*m, D)
+    weighted directions of ``_rp_projections``: (D, N), direction-major.
+
+    The curves are copied to the matching component-major (p*m, N) rows, and
+    one two-operand einsum adds each pair's m*p products, (direction x
+    weight) x value, in row order into a zeroed output, whatever the batch.
+    numpy reduces a lone column as a dot product, in another order, so a
+    single curve is projected as two equal columns.
+    """
+    N, m, p = values.shape
+    if N == 1:
+        values = np.repeat(values, 2, axis=0)
+    comps = np.ascontiguousarray(values.transpose(2, 1, 0)).reshape(p * m, -1)
+    return np.einsum("jn,jd->dn", comps, dirs_w)[:, :N]
 
 
 def _pair_counts(sorted_ref: np.ndarray, rows: np.ndarray, values: np.ndarray):
@@ -336,22 +348,25 @@ def _lower_by_tail(sorted_ref: np.ndarray, queries: np.ndarray, least: np.ndarra
 
 
 def _rp_projections(groups, seed):
-    """Shared directions, the weights, and each group's (n, NR) projections."""
+    """The weighted directions and each group's (NR, n) projections. Row
+    k*m + t of the (p*m, NR) weighted directions holds component k of every
+    direction at grid point t, times that point's weight."""
     grid, rng = groups[0].grid, np.random.default_rng(derive_seed(seed, 2))
     dirs = rp_directions(N_PROJECTIONS, grid, groups[0].p, rng)
-    return dirs, grid.weights, [_project(g.values, dirs, grid.weights) for g in groups]
+    dirs_w = np.ascontiguousarray((dirs * grid.weights[:, None]).transpose(2, 1, 0)).reshape(-1, len(dirs))
+    return dirs_w, [_project(g.values, dirs_w) for g in groups]
 
 
 def _rp1_fit(groups, seed):
-    dirs, w, projections = _rp_projections(groups, seed)
-    return dirs, w, tuple(np.sort(proj.T, axis=1) for proj in projections)
+    dirs_w, projections = _rp_projections(groups, seed)
+    return dirs_w, tuple(np.sort(proj, axis=1) for proj in projections)
 
 
 def _rp1_score(state, values: np.ndarray) -> np.ndarray:
     """Direction-wise univariate Tukey depths averaged over directions; the
     query sort is shared across groups."""
-    dirs, w, sorted_refs = state
-    sorted_q, flat = _sort_queries(_project(values, dirs, w).T)
+    dirs_w, sorted_refs = state
+    sorted_q, flat = _sort_queries(_project(values, dirs_w))
     counts = np.empty(sorted_q.shape, dtype=np.intp)
     # C order: each curve's depths are summed as one row, whatever the batch
     return np.stack(
@@ -365,16 +380,19 @@ def _rp1_score(state, values: np.ndarray) -> np.ndarray:
 
 
 def _rp2_fit(groups, seed):
-    # one curve's variance is 0, not nan, so the degenerate rule scores it
-    dirs, w, projections = _rp_projections(groups, seed)
-    return dirs, w, tuple(
+    # the C-ordered (n, NR) copies add the curves one after another; one
+    # curve's variance is 0, not nan, so the degenerate rule scores it
+    dirs_w, projections = _rp_projections(groups, seed)
+    projections = [np.ascontiguousarray(proj.T) for proj in projections]
+    return dirs_w, tuple(
         (proj.mean(axis=0), proj.var(axis=0, ddof=min(1, len(proj) - 1))) for proj in projections
     )
 
 
 def _rp2_score(state, values: np.ndarray) -> np.ndarray:
-    dirs, w, moments = state
-    proj_x = _project(values, dirs, w)
+    dirs_w, moments = state
+    # C order: each curve's depths are averaged as one row, whatever the batch
+    proj_x = np.ascontiguousarray(_project(values, dirs_w).T)
     return np.stack([_rp_md_depths(proj_x, mom) for mom in moments], axis=1)
 
 
@@ -403,8 +421,8 @@ class _Method(NamedTuple):
 # Each classifier, defined once. The state its fit returns:
 #   RMD: (groups, MCD fits); VOM: the groups; FM2: their moments;
 #   FM1: (directions (D, p), weights, values (n, m, p) per group);
-#   RP1: (directions (NR, m, p), weights, sorted projections (NR, n) per group);
-#   RP2: (directions, weights, projection (mean, variance) per group).
+#   RP1: (weighted directions (p*m, NR), sorted projections (NR, n) per group);
+#   RP2: (weighted directions, projection (mean, variance) per group).
 # Depths are integrated by row sums, not a matrix product, so that a curve's
 # score does not depend on its batch.
 _METHODS = {

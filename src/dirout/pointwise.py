@@ -161,13 +161,15 @@ def distances(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) 
 
     Gives np.linalg.norm's bits on the (n, B, d) layout: below 8 components
     numpy's add.reduce sums left to right, as the running sum of squares here
-    does; from 8 on it takes np.linalg.norm itself. ``out``, a (2, n, B)
-    buffer, takes the distances in ``out[0]``, which is returned, and a
-    component's square in ``out[1]``.
+    does; from 8 on it takes np.linalg.norm itself, of the deviations in C
+    order. Those are copied only when ``points`` is component-major; the
+    (d, n, B) transpose of a C-ordered (n, B, d) array subtracts into that
+    order already. ``out``, a (2, n, B) buffer, takes the distances in
+    ``out[0]``, which is returned, and a component's square in ``out[1]``.
     """
     d = len(points)
     if d >= 8:
-        return np.linalg.norm(np.moveaxis(points - z[:, None, :], 0, -1).copy(), axis=2)
+        return np.linalg.norm(np.ascontiguousarray(np.moveaxis(points - z[:, None, :], 0, -1)), axis=2)
     sq, c = np.empty((2,) + points.shape[1:]) if out is None else out
     np.subtract(points[0], z[0], out=sq)
     np.multiply(sq, sq, out=sq)

@@ -16,9 +16,11 @@ cofactor expansion (det_inv), not the library's stacked kernel. The library
 screens all starts in stacked passes, iterates the best N_KEEP candidates
 as one stack, and must return its every fit bit for bit. FM1 scores are counted here one grid point
 and one direction at a time, from the library's own projections; the
-einsum those projections replaced must give the same bits. The halfspace
-counts of every query against its reference row come from the library's
-merge, so that the brute-force test sees the merge and its tie pairs.
+einsum those projections replaced must give the same bits. So must the
+three-operand einsum of rp_project, against RP1's and RP2's two-operand
+contraction. The halfspace counts of every query against its reference row
+come from the library's merge, so that the brute-force test sees the merge
+and its tie pairs.
 """
 
 import numpy as np
@@ -389,6 +391,12 @@ def halfspace_counts(sorted_ref: np.ndarray, queries: np.ndarray):
 def fm_project(values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Projections of (N, m, p) curves onto (D, p) directions: (m, D, N)."""
     return np.einsum("nmk,dk->mdn", values, dirs, order="C")
+
+
+def rp_project(values: np.ndarray, dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Projections of (N, m, p) curves onto (D, m, p) random-projection
+    directions under the grid weights: (N, D)."""
+    return np.einsum("dmk,m,nmk->nd", dirs, weights, values)
 
 
 def fm1_scores(references, queries: np.ndarray, dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -12,13 +12,16 @@ from dirout.classify import (
     _METHODS,
     METHODS,
     _fm_project,
+    _rp_projections,
     predict_batch,
+    rp_directions,
     train,
 )
 from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
 from dirout.outlyingness import reference_frame, summarize_values
 from dirout.robust import default_h
+from dirout.seeding import derive_seed
 from dirout.simulate import (
     DATASETS,
     UNIVARIATE,
@@ -27,7 +30,7 @@ from dirout.simulate import (
     derivative_dataset,
     generate,
 )
-from oracles import fm1_scores, fm_project, halfspace_counts, mahalanobis_depth
+from oracles import fm1_scores, fm_project, halfspace_counts, mahalanobis_depth, rp_project
 
 
 def uniform_grid(m=10):
@@ -238,15 +241,28 @@ class TestHalfspaceCounts:
         assert depth == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "method,p", [("FM1", 1), ("FM1", 2), ("FM2", 2), ("RP1", 1), ("RP1", 2), ("RP2", 2)]
+        "method,p,n_projections",
+        [
+            pytest.param(method, p, classify.N_PROJECTIONS, id=f"{method}-{p}")
+            for method, p in [("FM1", 1), ("FM1", 2), ("FM2", 2), ("RP1", 1), ("RP1", 2), ("RP2", 2)]
+        ]
+        # one random projection: against a lone direction, numpy's einsum
+        # reduces one curve, and at p = 2 the three-operand form two, in
+        # another order than a larger batch
+        + [
+            pytest.param(method, p, 1, id=f"{method}-{p}-one-projection")
+            for method in ("RP1", "RP2")
+            for p in (1, 2, 3)
+        ],
     )
-    def test_batch_scores_equal_single_predictions(self, method, p, monkeypatch):
+    def test_batch_scores_equal_single_predictions(self, method, p, n_projections, monkeypatch):
         monkeypatch.setattr(classify, "TUKEY_N_DIRS", 60)
+        monkeypatch.setattr(classify, "N_PROJECTIONS", n_projections)
         rng = np.random.default_rng(41)
         g1 = gaussian_group(rng, "a", n=20, p=p)
         g2 = gaussian_group(rng, "b", n=20, p=p, shift=0.5)
-        # include a reference curve itself, tied with it in every direction
-        values = np.concatenate([rng.normal(size=(13, 10, p)), g1.values[3:4]])
+        # include reference curves themselves, tied with them in every direction
+        values = np.concatenate([rng.normal(size=(13, 10, p)), g1.values[:4]])
         model = train([g1, g2], method, rng_seed=42)
         batch = predict_batch(model, FunctionalGroup.from_values("q", values, g1.grid))
         for curve, scores in zip(values, batch.scores):
@@ -571,6 +587,23 @@ class TestFunctionalDepthRp:
             assert pred.label.tolist() == ["a"] + ["b"] * 5, method
         assert preds["RP2"].scores[0, 0] == 1.0 and (preds["RP2"].scores[1:, 0] == 0.0).all()
 
+    def test_a_projected_variance_just_above_the_degenerate_tolerance(self):
+        # curves 1e-10 apart: each projected variance lies between
+        # (1e-12 (1 + |mean|))^2, at or below which RP2 takes a projection as
+        # degenerate, and (1e-9 (1 + |mean|))^2, so a member's depth is
+        # 1 / (1 + diff^2 / var): neither the degenerate rule's 1 nor its 0
+        rng = np.random.default_rng(23)
+        g = uniform_grid()
+        base = np.sin(2 * np.pi * g.points)[None, :, None]
+        grp = FunctionalGroup.from_values("g", base + 1e-10 * rng.normal(size=(8, 10, 1)), g)
+        other = FunctionalGroup.from_values("other", grp.values + 1.0, g)
+        model = train([grp, other], "RP2", rng_seed=23)
+        mean, var = model.state[1][0]
+        scale = 1.0 + np.abs(mean)
+        assert ((1e-12 * scale) ** 2 < var).all() and (var < (1e-9 * scale) ** 2).all()
+        scores = predict_batch(model, FunctionalGroup.from_values("q", grp.values, g)).scores[:, 0]
+        assert ((0.0 < scores) & (scores < 1.0)).all()
+
     def test_identical_curves_get_full_md_depth(self, monkeypatch):
         monkeypatch.setattr(classify, "N_PROJECTIONS", 5)
         g = uniform_grid()
@@ -592,7 +625,7 @@ class TestFunctionalDepthRp:
         grp = gaussian_group(rng, "g", n=6, m=5)
         other = gaussian_group(rng, "other", n=6, m=5)
         model = train([grp, other], "RP1", rng_seed=22)
-        dirs = model.state[0]
+        dirs = rp_directions(3, grp.grid, 1, np.random.default_rng(derive_seed(22, 2)))
         x0 = one_curve(rng.normal(size=(5, 1)), grp.grid)
         w = grp.grid.weights
         total = 0.0
@@ -601,6 +634,38 @@ class TestFunctionalDepthRp:
             sg = np.array([(dirs[d, :, 0] * w) @ c for c in grp.values[:, :, 0]])
             total += min((sg <= s0).sum(), (sg >= s0).sum()) / 6
         assert predict_batch(model, x0).scores[0, 0] == pytest.approx(total / 3, abs=1e-12)
+
+
+class TestRpProjections:
+    """RP1 and RP2 project through one two-operand einsum over the
+    component-major rows, with the bits of the three-operand einsum of
+    ``oracles.rp_project``."""
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    def test_projections_equal_three_operand_einsum(self, p, uniform, monkeypatch):
+        rng = np.random.default_rng(10 * p + uniform)
+        for m in (2, 10, 50, 64):
+            inner = np.linspace(0.0, 1.0, m)[1:-1] if uniform else np.sort(rng.uniform(size=m - 2))
+            grid = Grid(np.concatenate([[0.0], inner, [1.0]]))
+            for n_dirs in (1, 2, 7, 50):
+                monkeypatch.setattr(classify, "N_PROJECTIONS", n_dirs)
+                dirs = rp_directions(n_dirs, grid, p, np.random.default_rng(derive_seed(m, 2)))
+                for n in (1, 2, 3, 200, 257):
+                    values = rng.normal(size=(n, m, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+                    for decimals in (None, 0):
+                        if decimals is not None:
+                            # rounding makes signed zeros and exact cancellations
+                            values = np.round(values, decimals)
+                        group = FunctionalGroup.from_values("g", values, grid)
+                        _, (projected,) = _rp_projections([group], seed=m)
+                        assert projected.shape == (n_dirs, n)
+                        # the three-operand einsum sums one direction against
+                        # one or two curves in another order than a larger
+                        # batch, so those curves are compared within three
+                        padded = np.concatenate([values] + [values[:1]] * max(0, 3 - n))
+                        expected = rp_project(padded, dirs, grid.weights)[:n]
+                        assert np.ascontiguousarray(projected.T).tobytes() == expected.tobytes()
 
 
 class TestPredictMaxdepth:
@@ -720,7 +785,8 @@ class TestInvariances:
         g2 = gaussian_group(rng, "b", n=20, shift=1.0)
         monkeypatch.setattr(classify, "N_PROJECTIONS", 7)
         monkeypatch.setattr(classify, "TUKEY_N_DIRS", 11)
-        assert train([g1, g2], "RP1", rng_seed=31).state[0].shape == (7, 10, 1)
+        # the weighted directions, one row per (component, grid point)
+        assert train([g1, g2], "RP1", rng_seed=31).state[0].shape == (10, 7)
         h1, h2 = (gaussian_group(rng, k, n=20, p=2) for k in "ab")
         assert train([h1, h2], "FM1", rng_seed=31).state[0].shape == (11, 2)
         # the (MO, VO) features of p = 1 curves are 2-vectors

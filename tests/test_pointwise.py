@@ -13,7 +13,7 @@ from dirout.classify import predict_batch, train
 from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, SingularScatterError
 from dirout.outlyingness import reference_frame, squared_mahalanobis
-from dirout.pointwise import geometric_medians_batch, pointwise_moments, quadratic_forms
+from dirout.pointwise import distances, geometric_medians_batch, pointwise_moments, quadratic_forms
 from dirout.simulate import GeneratorSpec, derivative_dataset, generate
 import oracles
 from oracles import geometric_median
@@ -269,6 +269,23 @@ class TestQuadraticForms:
         got = quadratic_forms(diff, inv, out=out)
         assert same_bits(got, want) and same_bits(out[0], want)
         assert got.shape == out[0].shape and np.shares_memory(got, out[0])
+
+
+class TestDistances:
+    """From 8 components ``distances`` takes np.linalg.norm of the (n, B, d)
+    deviations, copied to C order only when the points are component-major."""
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("layout", ["component-major", "c-ordered"])
+    def test_many_components_keep_the_bits_of_linalg_norm(self, d, layout):
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(30, 12, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        z = points[0].T.copy()  # a point on the cloud of every column
+        comps = points.transpose(2, 0, 1)
+        if layout == "component-major":
+            comps = np.ascontiguousarray(comps)
+        want = np.linalg.norm(points - z.T[None], axis=2)
+        assert same_bits(distances(comps, z), want)
 
 
 class TestCovarianceRidge:
