@@ -31,7 +31,6 @@ from .errors import (
 )
 from .experiment import ExperimentResult, ExperimentSpec, emit_diagnostics, run_experiment
 from .outlyingness import (
-    check_transformation_invariance,
     pointwise_outlyingness,
     reference_frame,
     summarize_values,
@@ -47,7 +46,6 @@ from .simulate import (
     joint_covariance,
     matern,
     matern_matrix,
-    sample_gp,
 )
 
 __version__ = "0.1.0"

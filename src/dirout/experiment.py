@@ -9,7 +9,7 @@ per method as one rate per replicate.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -77,10 +77,6 @@ class ExperimentSpec:
     @property
     def is_generated(self) -> bool:
         return self.dataset in DATASETS
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -201,7 +197,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     Replicates derive their randomness independently from (seed, replicate),
     so the result is identical whether they run sequentially or in parallel.
+
+    Raises:
+        ValueError: if ``workers`` is not an integer >= 1; before any
+            replicate runs or any worker starts.
     """
+    check_integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     csv_groups = None if spec.is_generated else list(read_groups_csv(spec.dataset)[0].values())
     rep_seeds = tuple(derive_seed(spec.seed, r) for r in range(spec.replicates))
     rates = np.empty((len(spec.methods), spec.replicates))

@@ -27,7 +27,6 @@ __all__ = [
     "pointwise_outlyingness",
     "summarize_values",
     "squared_mahalanobis",
-    "check_transformation_invariance",
 ]
 
 # Below this distance from the point-wise median the direction is undefined
@@ -148,55 +147,3 @@ def summarize_values(values: np.ndarray, reference: FunctionalGroup) -> BatchSum
     """
     return BatchSummaries(pointwise_outlyingness(values, reference), reference.moments.weights)
 
-
-def _apply_transform(
-    values: np.ndarray, a0: np.ndarray, b: np.ndarray, f: np.ndarray, perm: np.ndarray
-) -> np.ndarray:
-    """Apply x(t_i) -> f(t_{g(i)}) * A0 x(t_{g(i)}) + b along the last two axes."""
-    out = f[:, None] * (values @ a0.T) + b[None, :]
-    return out[..., perm, :]
-
-
-def check_transformation_invariance(
-    values: np.ndarray,
-    reference: FunctionalGroup,
-    a0: np.ndarray,
-    b=None,
-    f=None,
-    g=None,
-) -> float:
-    """Deviation of VOM from exact conjugation under a response/time transform.
-
-    Transforms the (N, m, p) batch of curves and every reference curve by
-    ``T(x)(t_i) = f(t_{g(i)}) * A0 x(t_{g(i)}) + b``, recomputes VOM from
-    scratch, and returns ``max |VOM_transformed - A0 VOM A0^T|`` over the
-    batch. On uniform grids with measure-preserving re-indexings (identity,
-    reversal) the deviation is at the level of solver tolerances.
-
-    Args:
-        a0: orthogonal (p, p) matrix.
-        b: finite constant shift, default zero.
-        f: positive, finite scale values at the grid points, default all ones.
-        g: integer permutation of grid indices, default identity.
-    """
-    p, grid = reference.p, reference.grid
-    m = grid.m
-    a0 = np.asarray(a0, dtype=float)
-    if a0.shape != (p, p) or not (np.max(np.abs(a0.T @ a0 - np.eye(p))) <= 1e-10):
-        raise ValueError("a0 must be orthogonal (p x p)")
-    b = np.zeros(p) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (p,) or not np.isfinite(b).all():
-        raise ValueError(f"b must be a finite length-{p} vector")
-    f = np.ones(m) if f is None else np.asarray(f, dtype=float)
-    if f.shape != (m,) or not np.all((f > 0.0) & (f < np.inf)):
-        raise ValueError("f must be positive and finite at every grid point")
-    perm = np.arange(m) if g is None else np.asarray(g)
-    if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(m)):
-        raise ValueError("g must be a permutation of grid indices")
-
-    vom = summarize_values(values, reference).vom
-    t_ref = FunctionalGroup.from_values(
-        reference.label, _apply_transform(reference.values, a0, b, f, perm), grid
-    )
-    t_vom = summarize_values(_apply_transform(values, a0, b, f, perm), t_ref).vom
-    return float(np.max(np.abs(t_vom - a0 @ vom @ a0.T)))

@@ -26,7 +26,6 @@ __all__ = [
     "matern_matrix",
     "joint_covariance",
     "cholesky_with_jitter",
-    "sample_gp",
     "generate",
     "derivative_dataset",
 ]
@@ -225,14 +224,6 @@ def _draw_gp(grid: Grid, n: int, p: int, rng) -> np.ndarray:
     if p == 1:
         return flat[:, :, None]
     return np.stack([flat[:, :m], flat[:, m:]], axis=2)
-
-
-def sample_gp(grid: Grid, n: int, p: int, seed: int = 0) -> FunctionalGroup:
-    """Sample n zero-mean curves of the benchmark noise for p = 1 or 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    values = _draw_gp(grid, n, p, np.random.default_rng(seed))
-    return FunctionalGroup.from_values("gp", values, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,19 @@ einsum those projections replaced must give the same bits. So must the
 three-operand einsum of rp_project, against RP1's and RP2's two-operand
 contraction. The halfspace counts of every query against its reference row
 come from the library's merge, so that the brute-force test sees the merge
-and its tie pairs.
+and its tie pairs. The checks of two guarantees live here too, as the
+library itself never runs them: check_transformation_invariance measures
+how far VOM is from exact conjugation under a response and time transform
+(acceptance criterion 02), and sample_gp draws the benchmark noise through
+the library's _draw_gp, the path generate takes (criterion 05).
 """
 
 import numpy as np
 
 from dirout.classify import _fm_project, _sort_queries, _sorted_counts
+from dirout.curves import FunctionalGroup, Grid
 from dirout.errors import ConvergenceError, DegenerateDataError, SingularScatterError
+from dirout.outlyingness import summarize_values
 from dirout.pointwise import COND_LIMIT, RIDGE_EPS
 from dirout.robust import (
     DET_RTOL,
@@ -38,6 +44,7 @@ from dirout.robust import (
     consistency_factor,
     default_h,
 )
+from dirout.simulate import _draw_gp
 
 
 def _as_cloud(cloud) -> np.ndarray:
@@ -422,3 +429,64 @@ def fm1_scores(references, queries: np.ndarray, dirs: np.ndarray, weights: np.nd
         for j in range(N):
             scores[j, g] = (depth[j] * weights).sum()
     return scores
+
+
+def _apply_transform(
+    values: np.ndarray, a0: np.ndarray, b: np.ndarray, f: np.ndarray, perm: np.ndarray
+) -> np.ndarray:
+    """Apply x(t_i) -> f(t_{g(i)}) * A0 x(t_{g(i)}) + b along the last two axes."""
+    out = f[:, None] * (values @ a0.T) + b[None, :]
+    return out[..., perm, :]
+
+
+def check_transformation_invariance(
+    values: np.ndarray,
+    reference: FunctionalGroup,
+    a0: np.ndarray,
+    b=None,
+    f=None,
+    g=None,
+) -> float:
+    """Deviation of VOM from exact conjugation under a response/time transform.
+
+    Transforms the (N, m, p) batch of curves and every reference curve by
+    ``T(x)(t_i) = f(t_{g(i)}) * A0 x(t_{g(i)}) + b``, recomputes VOM from
+    scratch, and returns ``max |VOM_transformed - A0 VOM A0^T|`` over the
+    batch. On uniform grids with measure-preserving re-indexings (identity,
+    reversal) the deviation is at the level of solver tolerances.
+
+    Args:
+        a0: orthogonal (p, p) matrix.
+        b: finite constant shift, default zero.
+        f: positive, finite scale values at the grid points, default all ones.
+        g: integer permutation of grid indices, default identity.
+    """
+    p, grid = reference.p, reference.grid
+    m = grid.m
+    a0 = np.asarray(a0, dtype=float)
+    if a0.shape != (p, p) or not (np.max(np.abs(a0.T @ a0 - np.eye(p))) <= 1e-10):
+        raise ValueError("a0 must be orthogonal (p x p)")
+    b = np.zeros(p) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (p,) or not np.isfinite(b).all():
+        raise ValueError(f"b must be a finite length-{p} vector")
+    f = np.ones(m) if f is None else np.asarray(f, dtype=float)
+    if f.shape != (m,) or not np.all((f > 0.0) & (f < np.inf)):
+        raise ValueError("f must be positive and finite at every grid point")
+    perm = np.arange(m) if g is None else np.asarray(g)
+    if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(m)):
+        raise ValueError("g must be a permutation of grid indices")
+
+    vom = summarize_values(values, reference).vom
+    t_ref = FunctionalGroup.from_values(
+        reference.label, _apply_transform(reference.values, a0, b, f, perm), grid
+    )
+    t_vom = summarize_values(_apply_transform(values, a0, b, f, perm), t_ref).vom
+    return float(np.max(np.abs(t_vom - a0 @ vom @ a0.T)))
+
+
+def sample_gp(grid: Grid, n: int, p: int, seed: int = 0) -> FunctionalGroup:
+    """Sample n zero-mean curves of the benchmark noise for p = 1 or 2."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    values = _draw_gp(grid, n, p, np.random.default_rng(seed))
+    return FunctionalGroup.from_values("gp", values, grid)

@@ -16,7 +16,7 @@ import dirout
 from dirout.classify import METHODS
 from dirout.curves import FunctionalGroup, Grid, read_groups_csv, write_groups_csv
 from dirout.experiment import ExperimentSpec, run_experiment
-from dirout.outlyingness import check_transformation_invariance, summarize_values
+from dirout.outlyingness import summarize_values
 from dirout.robust import c_step, mcd_fit
 from dirout.simulate import (
     GeneratorSpec,
@@ -24,8 +24,8 @@ from dirout.simulate import (
     default_grid,
     generate,
     matern,
-    sample_gp,
 )
+from oracles import check_transformation_invariance, sample_gp
 
 SEED = 2024
 BENCH = dict(n_train=100, n_test=100, replicates=10)

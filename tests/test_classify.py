@@ -416,6 +416,8 @@ class TestFm1Pruning:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 130), decimals=st.sampled_from([None, 0]), infs=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
+    # three -inf references: a -inf query must count none of them as below it
+    @example(n=8, decimals=None, infs=True, seed=1)
     def test_pair_search_equals_brute_counts(self, n, decimals, infs, seed):
         rng = np.random.default_rng(seed)
         ref = rng.normal(size=(3, n))

@@ -157,6 +157,16 @@ def test_classify_refuses_the_removed_settings_flags(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bench_refuses_a_worker_count_below_one(tmp_path, capsys, workers):
+    spec = {"dataset": "4", "methods": ["VOM"], "n_train": 10, "n_test": 5, "replicates": 2, "m": 10}
+    spec_f, out = tmp_path / "spec.json", tmp_path / "rates.csv"
+    spec_f.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_f), "--out", str(out), "--workers", workers]) == 1
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_bench_refuses_a_spec_that_sets_classifier_settings(tmp_path, capsys):
     spec = {"dataset": "4", "methods": ["RP1"], "n_train": 10, "n_test": 5, "replicates": 2, "m": 10,
             "config": {"n_projections": 5}}

@@ -99,6 +99,79 @@ def test_no_unused_private_names(path):
     assert not unused, f"{path.name} defines private names it never uses: {unused}"
 
 
+BENCH_FILES = sorted(
+    path for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
+    if not path.name.startswith("test_")
+)
+
+# public names that nothing in the package or the benchmark calls, each kept for a reason
+UNCALLED_BY_DESIGN = {
+    "outlyingness.BatchSummaries.fom": "the paper's FOM summary, computed only when read; "
+    "criterion 01 checks FOM = MO MO^T + VOM on it",
+}
+
+
+def _public_defs(path):
+    """Qualified names of a module's public functions and of the public
+    methods of its public classes, each with its bare name."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _references(path, strings=False):
+    """Names a file reads, as variables or attributes, outside the body of a
+    def of the same name; with ``strings``, its string constants as well,
+    since the benchmark names the functions it wraps as strings."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """Each public function and method of the package, and each name that
+    ``dirout`` exports, is called from another place in the package or from
+    the benchmark: code that only tests run lives with the tests."""
+    init = Path(dirout.__file__)
+    called = set().union(
+        *(_references(path) for path in MODULES if path != init),
+        *(_references(path, strings=True) for path in BENCH_FILES),
+    )
+    uncalled = {qualified for path in MODULES for qualified, name in _public_defs(path) if name not in called}
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    uncalled |= {f"dirout.{name}" for name in exported - called}
+    assert uncalled == set(UNCALLED_BY_DESIGN), (
+        f"no caller outside the tests: {sorted(uncalled - set(UNCALLED_BY_DESIGN))}; "
+        f"listed but called: {sorted(set(UNCALLED_BY_DESIGN) - uncalled)}"
+    )
+
+
 FILE_WRITERS = {"write_text", "write_bytes", "savetxt", "tofile"}
 
 

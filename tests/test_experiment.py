@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -25,6 +26,11 @@ def make_level_groups(rng, levels, n=24, m=12, noise=0.5):
         vals = level + noise * rng.normal(size=(n, m, 1))
         groups.append(FunctionalGroup.from_values(label, vals, grid))
     return groups
+
+
+def spec_json(spec):
+    """The spec as a JSON object with every field, as ``from_json`` reads it."""
+    return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
 
 
 class TestRunExperiment:
@@ -78,6 +84,25 @@ class TestRunExperiment:
         par = run_experiment(spec, workers=2)
         assert np.array_equal(seq.rates, par.rates)
 
+    @pytest.mark.parametrize(
+        "workers, message",
+        [(0, "workers must be >= 1, got 0"),
+         (-1, "workers must be >= 1, got -1"),
+         (True, "workers must be an integer, got True"),
+         (1.5, "workers must be an integer, got 1.5")],
+    )
+    def test_a_worker_count_that_is_not_a_positive_integer_is_refused(self, monkeypatch, workers, message):
+        import concurrent.futures
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate or a worker pool started")
+
+        monkeypatch.setattr(experiment, "_run_replicate", no_run)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+        spec = ExperimentSpec("3", ("VOM",), n_train=10, n_test=10, replicates=4, seed=6, m=15)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(spec, workers=workers)
+
     def test_one_predict_call_per_method_and_replicate(self, monkeypatch):
         calls = []
         original = experiment.predict_batch
@@ -121,7 +146,7 @@ class TestRunExperiment:
 
     def test_json_round_trip(self):
         spec = ExperimentSpec("1c", ("VOM", "RMD"), n_train=10, n_test=10, replicates=2, seed=9)
-        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        assert ExperimentSpec.from_json(spec_json(spec)) == spec
 
 
 class TestSharedFrames:
@@ -240,7 +265,7 @@ class TestSpecValidation:
     def test_json_booleans_load_as_derivatives(self, value):
         spec = ExperimentSpec.from_json(json.dumps({**self.BASE, "derivatives": value}))
         assert spec.derivatives is value
-        assert ExperimentSpec.from_json(spec.to_json()).derivatives is value
+        assert ExperimentSpec.from_json(spec_json(spec)).derivatives is value
 
     def test_a_method_listed_twice_is_rejected(self):
         with pytest.raises(ValueError, match="^method 'RP1' is listed twice$"):

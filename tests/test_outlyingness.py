@@ -9,14 +9,13 @@ from dirout.errors import SingularScatterError
 from dirout.experiment import emit_diagnostics
 from dirout.outlyingness import (
     ZERO_DIRECTION_TOL,
-    check_transformation_invariance,
     pointwise_outlyingness,
     reference_frame,
     summarize_values,
 )
 from dirout.pointwise import distances, geometric_medians_batch
 from dirout.simulate import GeneratorSpec, generate
-from oracles import mahalanobis_depth
+from oracles import check_transformation_invariance, mahalanobis_depth
 
 
 def uniform_grid(m=10):

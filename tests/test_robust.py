@@ -604,6 +604,27 @@ class TestStackedIterate:
         assert np.array_equal(fit.subset, subsets[0])
         assert_same_as_oracle(pts, 5, 0)
 
+    def test_a_determinant_fall_just_above_the_stopping_tolerance(self):
+        # a core of 19 points, then a = 1, b = a - 1e-10 and e on the left;
+        # the start {core, a} steps to {core, b}, whose variance is lower by
+        # a relative 7e-11, between DET_RTOL = 1e-12 and 1e-9; that step
+        # moves the mean left by 1e-10 / 20, which brings e, placed midway
+        # in the window it opens, nearer than b, so the row must step on
+        k = 20
+        a = 1.0
+        b = a - 1e-10
+        e = -(b - (a + b) / k)
+        pts = np.concatenate([np.linspace(-0.5, 0.5, k - 1), [a, b, e]])[:, None]
+        core = np.arange(k - 1)
+        start, with_b, with_e = (np.append(core, i)[None] for i in (k - 1, k, k + 1))
+        first, _, _, det_start = c_step(pts, start, k)
+        second, _, _, det_b = c_step(pts, first, k)
+        assert np.array_equal(first, with_b) and np.array_equal(second, with_e)
+        assert 1e-12 < (det_start[0] - det_b[0]) / det_start[0] < 1e-9
+        subsets, _, _, dets = robust._iterate(pts, start, k, robust.MAX_FULL_STEPS)
+        assert np.array_equal(subsets, with_e)
+        assert dets[0] == c_step(pts, with_e, k)[3][0] < det_b[0]
+
 
 class TestCStepParts:
     """The c-step's distances and selection equal the einsum and the stable

@@ -15,8 +15,8 @@ from dirout.simulate import (
     joint_covariance,
     matern,
     matern_matrix,
-    sample_gp,
 )
+from oracles import sample_gp
 
 
 def bessel_k_quadrature(nu, x):
