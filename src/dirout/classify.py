@@ -35,6 +35,7 @@ from .simulate import cholesky_with_jitter
 
 __all__ = [
     "METHODS",
+    "check_method",
     "TrainedModel",
     "BatchPredictions",
     "train",
@@ -71,9 +72,12 @@ class TrainedModel:
     """
 
     method: str
-    labels: tuple[str, ...]
     groups: tuple[FunctionalGroup, ...]
     state: object
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(g.label for g in self.groups)
 
 
 # Directions each trained model draws once from its seed: random projections
@@ -212,18 +216,14 @@ def train(groups, method: str, *, rng_seed: int = 0) -> TrainedModel:
     TUKEY_N_DIRS Tukey directions) are drawn once from the seed and shared
     across groups and all later queries; RMD's MCD fits take the default h.
     """
-    method = str(method).upper()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    method = check_method(method)
     groups = tuple(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-    labels = tuple(g.label for g in groups)
-    if len(set(labels)) != len(labels):
+    if len({g.label for g in groups}) != len(groups):
         raise ValueError("group labels must be distinct")
     check_same_grid(groups)
-    state = _METHODS[method].fit(groups, rng_seed)
-    return TrainedModel(method, labels, groups, state)
+    return TrainedModel(method, groups, _METHODS[method].fit(groups, rng_seed))
 
 
 def _frames(groups, seed) -> tuple[FunctionalGroup, ...]:
@@ -436,6 +436,18 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
+def check_method(method) -> str:
+    """The name in ``METHODS`` of a method given in any case.
+
+    Raises:
+        ValueError: if the name is none of ``METHODS``.
+    """
+    name = str(method).upper()
+    if name not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return name
+
+
 def predict_batch(model: TrainedModel, queries: FunctionalGroup) -> BatchPredictions:
     """Classify every curve of a group into one record of label and score
     arrays; ties go to the smallest group index. One curve is a group of one."""
@@ -444,4 +456,5 @@ def predict_batch(model: TrainedModel, queries: FunctionalGroup) -> BatchPredict
     scores = method.score(model.state, queries.values)
     higher = method.higher_is_better
     best = np.argmax(scores, axis=1) if higher else np.argmin(scores, axis=1)
-    return BatchPredictions(np.asarray(model.labels)[best], scores, model.labels, higher)
+    labels = model.labels
+    return BatchPredictions(np.asarray(labels)[best], scores, labels, higher)

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .classify import METHODS, predict_batch, train
+from .classify import check_method, predict_batch, train
 from .curves import derivative_augment, read_groups_csv, write_groups_csv, write_rows
 from .experiment import ExperimentSpec, emit_diagnostics, run_experiment
 from .simulate import DATASETS, GeneratorSpec, default_grid, generate
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pick_group(path: str, label: str | None, what: str):
-    groups, report = read_groups_csv(path)
+    groups, curve_ids = read_groups_csv(path)
     if label is None:
         if len(groups) != 1:
             raise ValueError(
@@ -61,7 +61,7 @@ def _pick_group(path: str, label: str | None, what: str):
         label = next(iter(groups))
     elif label not in groups:
         raise ValueError(f"{what} file has no group {label!r} (found {sorted(groups)})")
-    return groups[label], report["curve_ids"][label]
+    return groups[label], curve_ids[label]
 
 
 def _cmd_simulate(args) -> int:
@@ -87,15 +87,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    method = args.method.upper()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {args.method!r}; choose from {METHODS}")
-    train_groups, train_report = read_groups_csv(args.train)
-    test_groups, test_report = read_groups_csv(args.test)
-    print(
-        f"train: {train_report['n_per_group']} (m={train_report['m']}, p={train_report['p']})"
-    )
+    method = check_method(args.method)
+    train_groups, _ = read_groups_csv(args.train)
+    test_groups, test_ids = read_groups_csv(args.test)
     groups = list(train_groups.values())
+    n_per_group = {g.label: g.n for g in groups}
+    print(f"train: {n_per_group} (m={groups[0].grid.m}, p={groups[0].p})")
     if args.derivatives:
         groups = [derivative_augment(g) for g in groups]
     model = train(groups, method, rng_seed=args.seed)
@@ -108,8 +105,7 @@ def _cmd_classify(args) -> int:
         preds = predict_batch(model, queries)
         correct += np.count_nonzero(preds.label == label)
         total += len(preds)
-        ids = test_report["curve_ids"][label]
-        for cid, predicted, scores in zip(ids, preds.label.tolist(), preds.scores.tolist()):
+        for cid, predicted, scores in zip(test_ids[label], preds.label.tolist(), preds.scores.tolist()):
             rows.append([cid, label, predicted, *scores])
     write_rows(args.out, header, rows)
     print(f"accuracy: {correct / total:.4f} ({correct}/{total})")

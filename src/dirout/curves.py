@@ -386,13 +386,7 @@ def _groups(rows: np.ndarray, starts, curves: dict, p: int):
         label: FunctionalGroup.from_values(label, values[idx], grid)
         for label, idx in members.items()
     }
-    report = {
-        "n_per_group": {label: g.n for label, g in groups.items()},
-        "m": grid.m,
-        "p": p,
-        "curve_ids": {label: [cids[i] for i in idx] for label, idx in members.items()},
-    }
-    return groups, report
+    return groups, {label: [cids[i] for i in idx] for label, idx in members.items()}
 
 
 def read_groups_csv(path):
@@ -412,9 +406,9 @@ def read_groups_csv(path):
     Both passes give the same groups for a file loadtxt accepts.
 
     Returns:
-        (groups, report): groups is a dict label -> FunctionalGroup with labels
-        in sorted order; report is a dict with keys ``n_per_group``, ``m``,
-        ``p`` and ``curve_ids`` (label -> curve ids in file order).
+        (groups, curve_ids): groups is a dict label -> FunctionalGroup with
+        labels in sorted order; curve_ids is a dict label -> the group's curve
+        ids in file order.
 
     Raises:
         CsvFormatError: on schema violations. A violation found in a row

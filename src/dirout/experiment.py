@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .classify import METHODS, predict_batch, train
+from .classify import check_method, predict_batch, train
 from .curves import (
     FunctionalGroup, check_same_grid, default_curve_ids, derivative_augment, read_groups_csv, write_rows,
 )
@@ -50,12 +50,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.methods, (list, tuple)):
             raise ValueError(f"methods must be a list of method names, got {self.methods!r}")
-        methods = tuple(str(m).upper() for m in self.methods)
+        methods = tuple(map(check_method, self.methods))
         if not methods:
             raise ValueError("methods must be non-empty")
         for i, m in enumerate(methods):
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
             if m in methods[:i]:
                 raise ValueError(f"method {m!r} is listed twice")
         object.__setattr__(self, "methods", methods)
@@ -96,28 +94,28 @@ class ExperimentSpec:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Per-method correct-classification rates across replicates."""
+    """Per-method correct-classification rates across replicates: row i of
+    ``rates`` belongs to ``spec.methods[i]``, column r to replicate r."""
 
     spec: ExperimentSpec
-    methods: tuple[str, ...]
     rates: np.ndarray  # (n_methods, replicates)
-    replicate_seeds: tuple[int, ...]
 
     @property
     def mean_rates(self) -> dict[str, float]:
-        return {m: float(self.rates[i].mean()) for i, m in enumerate(self.methods)}
+        return {m: float(self.rates[i].mean()) for i, m in enumerate(self.spec.methods)}
 
     @property
     def sd_rates(self) -> dict[str, float]:
         ddof = 1 if self.rates.shape[1] > 1 else 0
-        return {m: float(self.rates[i].std(ddof=ddof)) for i, m in enumerate(self.methods)}
+        return {m: float(self.rates[i].std(ddof=ddof)) for i, m in enumerate(self.spec.methods)}
 
     def write_csv(self, path) -> None:
-        """One row per (method, replicate); deterministic byte-for-byte."""
+        """One row per (method, replicate), with the replicate's seed
+        ``derive_seed(spec.seed, replicate)``; deterministic byte-for-byte."""
         rows = (
-            [m, r, seed, rate]
-            for m, rates in zip(self.methods, self.rates.tolist())
-            for r, (seed, rate) in enumerate(zip(self.replicate_seeds, rates))
+            [m, r, derive_seed(self.spec.seed, r), rate]
+            for m, rates in zip(self.spec.methods, self.rates.tolist())
+            for r, rate in enumerate(rates)
         )
         write_rows(path, ["method", "replicate", "seed", "p_c"], rows)
 
@@ -125,15 +123,13 @@ class ExperimentResult:
         header = f"{'method':<8}{'mean p_c':>12}{'sd':>12}"
         rows = [header, "-" * len(header)]
         means, sds = self.mean_rates, self.sd_rates
-        for m in self.methods:
+        for m in self.spec.methods:
             rows.append(f"{m:<8}{means[m]:>12.4f}{sds[m]:>12.4f}")
         return "\n".join(rows)
 
 
 def _replicate_groups(spec: ExperimentSpec, r: int, csv_groups) -> list[FunctionalGroup]:
     if not spec.is_generated:
-        if spec.derivatives:
-            return [derivative_augment(g) for g in csv_groups]
         return csv_groups
     grid = default_grid(spec.m)
     out = []
@@ -187,16 +183,13 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
     return rates
 
 
-def _replicate_worker(args):
-    spec, r, csv_groups = args
-    return r, _run_replicate(spec, r, csv_groups)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run all replicates of a benchmark spec.
 
     Replicates derive their randomness independently from (seed, replicate),
     so the result is identical whether they run sequentially or in parallel.
+    In parallel, at most one worker process per replicate starts. The curves
+    of a CSV dataset are read, and with ``derivatives`` augmented, once.
 
     Raises:
         ValueError: if ``workers`` is not an integer >= 1; before any
@@ -205,20 +198,22 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    csv_groups = None if spec.is_generated else list(read_groups_csv(spec.dataset)[0].values())
-    rep_seeds = tuple(derive_seed(spec.seed, r) for r in range(spec.replicates))
-    rates = np.empty((len(spec.methods), spec.replicates))
-    if workers > 1 and spec.replicates > 1:
+    csv_groups = None
+    if not spec.is_generated:
+        csv_groups = list(read_groups_csv(spec.dataset)[0].values())
+        if spec.derivatives:
+            csv_groups = [derivative_augment(g) for g in csv_groups]
+    reps = range(spec.replicates)
+    jobs = ([spec] * len(reps), reps, [csv_groups] * len(reps))
+    workers = min(workers, spec.replicates)
+    if workers == 1:
+        rates = list(map(_run_replicate, *jobs))
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(spec, r, csv_groups) for r in range(spec.replicates)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, rep_rates in pool.map(_replicate_worker, jobs):
-                rates[:, r] = rep_rates
-    else:
-        for r in range(spec.replicates):
-            rates[:, r] = _run_replicate(spec, r, csv_groups)
-    return ExperimentResult(spec, spec.methods, rates, rep_seeds)
+            rates = list(pool.map(_run_replicate, *jobs))
+    return ExperimentResult(spec, np.stack(rates, axis=1))
 
 
 def emit_diagnostics(group: FunctionalGroup, reference: FunctionalGroup, out_path, curve_ids=None) -> None:

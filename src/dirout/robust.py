@@ -291,14 +291,13 @@ class McdFit:
     """Robust location/scatter from the minimum-determinant h-subset.
 
     Attributes:
-        subset: sorted indices of the h retained points.
+        subset: sorted indices of the h retained points; h is its length.
         location: mean of the subset.
         scatter: subset covariance (divisor h) times the consistency factor.
         determinant: determinant of the raw subset covariance (the minimized
             objective, before consistency scaling); inf or 0.0 where it lies
             beyond the float range, which does not affect the fit.
         consistency_factor: the applied chi-square scaling.
-        h: subset size.
         n: sample size.
     """
 
@@ -307,7 +306,6 @@ class McdFit:
     scatter: np.ndarray
     determinant: float
     consistency_factor: float
-    h: int
     n: int
 
 
@@ -443,7 +441,7 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
         factor = consistency_factor(h, n, d)
     with np.errstate(over="ignore", under="ignore"):
         det = float(np.ldexp(det, 2 * d * e))  # inf or 0.0 beyond the float range
-    return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, h, n)
+    return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, n)
 
 
 def rmd(points: np.ndarray, fit: McdFit) -> np.ndarray:

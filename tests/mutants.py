@@ -49,6 +49,17 @@ MUTANTS = (
            "", "tests/test_classify.py::TestFm1Pruning::test_pair_search_equals_brute_counts"),
     Mutant("classify.py", "np.less(queries, bound, out=low)", "np.less_equal(queries, bound, out=low)", None,
            "it only flags more pairs for the pair search, which counts every flagged pair exactly"),
+    Mutant("classify.py", "pos += half * (np.take(flat, pos + half) <= v)",
+           "pos += half * (np.take(flat, pos + half) < v)",
+           "tests/test_classify.py::TestHalfspaceCounts::test_fm1_query_one_ulp_above_a_reference_projection"),
+    Mutant("classify.py", "count = pos - start + (np.take(flat, pos) <= v)",
+           "count = pos - start + (np.take(flat, pos) < v)",
+           "tests/test_classify.py::TestHalfspaceCounts::test_fm1_query_one_ulp_above_a_reference_projection"),
+    Mutant("classify.py", "tied = np.flatnonzero(below == sorted_q)", "tied = np.flatnonzero(below != sorted_q)",
+           "tests/test_classify.py::TestHalfspaceCounts::test_most_negative_float_counts_without_a_warning"),
+    Mutant("classify.py", "tied = np.flatnonzero(below == sorted_q)", "tied = np.flatnonzero(below <= sorted_q)", None,
+           "the reference just below a query in the merge is <= it whenever one is, so it only sends "
+           "more pairs to the pair search, which counts every pair exactly"),
     Mutant("classify.py", "tol2 = (1e-12 * (1.0 + np.abs(mean))) ** 2", "tol2 = (1e-9 * (1.0 + np.abs(mean))) ** 2",
            "tests/test_classify.py::TestFunctionalDepthRp::test_a_projected_variance_just_above_the_degenerate_tolerance"),
     Mutant("pointwise.py", "\n_TOL = 1e-12\n", "\n_TOL = 1e-10\n",
@@ -57,6 +68,9 @@ MUTANTS = (
            "tests/test_pointwise.py::TestCovarianceRidge::test_ridge_only_above_the_ratio_limit[100000000000.0-False]"),
     Mutant("pointwise.py", "\nRIDGE_EPS = 1e-10\n", "\nRIDGE_EPS = 1e-8\n",
            "tests/test_pointwise.py::TestCovarianceRidge::test_ridge_only_above_the_ratio_limit[10000000000000.0-True]"),
+    Mutant("outlyingness.py", "\n_BLOCK = 16384\n", "\n_BLOCK = 64\n", None,
+           "a block only sets how many curves share a buffer; each curve's sums are added in grid "
+           "order in any block, which test_bits_of_the_einsum checks against einsum"),
     Mutant("outlyingness.py", "\nZERO_DIRECTION_TOL = 1e-12\n", "\nZERO_DIRECTION_TOL = 1e-9\n",
            "tests/test_outlyingness.py::TestPointwiseOutlyingness::"
            "test_direction_is_dropped_only_below_the_zero_tolerance[1e-10-False]"),
@@ -64,6 +78,8 @@ MUTANTS = (
            "tests/test_robust.py::TestStackedIterate::test_rows_live_at_the_step_cap"),
     Mutant("robust.py", "\nSCREEN_STEPS = 2\n", "\nSCREEN_STEPS = 1\n",
            "tests/test_robust.py::TestRepeatedRows::test_screen_fits_each_repeated_subset_alike[3-False]"),
+    Mutant("robust.py", "within = d2 <= kth", "within = d2 < kth",
+           "tests/test_robust.py::TestCStepParts::test_nearest_sorts_only_the_rows_tied_at_the_cut"),
     Mutant("robust.py", "\nDET_RTOL = 1e-12\n", "\nDET_RTOL = 1e-9\n",
            "tests/test_robust.py::TestStackedIterate::test_a_determinant_fall_just_above_the_stopping_tolerance"),
 )

@@ -357,7 +357,7 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     def scaled_back(subset, loc, cov, det, factor):
         with np.errstate(over="ignore", under="ignore"):
             det = float(np.ldexp(det, 2 * d * e))
-        return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, h, n)
+        return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, n)
 
     loc, cov = _subset_stats(points, np.arange(n))
     det = det_inv(cov)[0]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from dirout.classify import (
     METHODS,
     _fm_project,
     _rp_projections,
+    check_method,
     predict_batch,
     rp_directions,
     train,
@@ -98,6 +100,23 @@ class TestTrain:
         g1 = gaussian_group(rng, "1")
         with pytest.raises(ValueError):
             train([g0, g1], "SVM")
+
+    def test_rejects_repeated_labels(self):
+        rng = np.random.default_rng(7)
+        g0, g1 = gaussian_group(rng, "0"), gaussian_group(rng, "0", shift=1.0)
+        with pytest.raises(ValueError, match="^group labels must be distinct$"):
+            train([g0, g1], "VOM")
+
+    def test_method_names_are_checked_in_any_case(self):
+        rng = np.random.default_rng(7)
+        groups = [gaussian_group(rng, "b"), gaussian_group(rng, "a", shift=1.0)]
+        assert [check_method(name) for name in ("rmd", "Vom", "FM1")] == ["RMD", "VOM", "FM1"]
+        model = train(groups, "rp2")
+        assert (model.method, model.labels) == ("RP2", ("b", "a"))
+        message = f"^unknown method 'svm'; choose from {re.escape(str(METHODS))}$"
+        for refuse in (check_method, lambda name: train(groups, name)):
+            with pytest.raises(ValueError, match=message):
+                refuse("svm")
 
     def test_rmd_needs_enough_curves(self):
         rng = np.random.default_rng(8)
@@ -793,4 +812,4 @@ class TestInvariances:
         assert train([h1, h2], "FM1", rng_seed=31).state[0].shape == (11, 2)
         # the (MO, VO) features of p = 1 curves are 2-vectors
         _, fits = train([g1, g2], "RMD", rng_seed=31).state
-        assert [fit.h for fit in fits] == [default_h(20, 2)] * 2
+        assert [len(fit.subset) for fit in fits] == [default_h(20, 2)] * 2

@@ -17,9 +17,8 @@ def test_simulate_writes_readable_csv(tmp_path, capsys):
         "--out", str(out),
     ])
     assert rc == 0
-    groups, report = read_groups_csv(out)
-    assert report == {**report, "m": 50, "p": 2}
-    assert groups["1"].n == 6
+    groups, _ = read_groups_csv(out)
+    assert (groups["1"].n, groups["1"].grid.m, groups["1"].p) == (6, 50, 2)
 
 
 def test_simulate_then_diagnose(tmp_path):
@@ -61,7 +60,9 @@ def test_classify_command(tmp_path, capsys):
     rc = main(["classify", "--train", str(train_f), "--test", str(test_f),
                "--method", "fm2", "--out", str(out)])
     assert rc == 0
-    assert "accuracy: 1.0000" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert printed.startswith("train: {'a': 12, 'b': 12} (m=10, p=1)\n")
+    assert "accuracy: 1.0000" in printed
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "curve_id,true_group,predicted,score_a,score_b"
     assert len(lines) == 11
@@ -137,6 +138,36 @@ def test_classify_writes_the_first_best_score_and_its_accuracy(tmp_path, capsys,
         assert predicted == ("0", "1")[scores.index(best)]  # the first best
         correct += predicted == truth
     assert f"accuracy: {correct / 50:.4f} ({correct}/50)\n" in capsys.readouterr().out
+
+
+def test_diagnose_refuses_a_group_it_cannot_pick(tmp_path, capsys):
+    both, out = tmp_path / "both.csv", tmp_path / "diag.csv"
+    for cls in (0, 1):
+        path = tmp_path / f"c{cls}.csv"
+        assert main(["simulate", "--data", "2", "--class", str(cls), "--n", "4", "--m", "8",
+                     "--out", str(path)]) == 0
+    c0, c1 = (tmp_path / f"c{cls}.csv" for cls in (0, 1))
+    both.write_text(c0.read_text() + c1.read_text().split("\n", 1)[1])
+    assert main(["diagnose", "--group", str(both), "--reference", str(c1), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: group file has groups ['0', '1']; pass --group-label to pick one\n"
+    assert main(["diagnose", "--group", str(c0), "--reference", str(both), "--reference-label", "x",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: reference file has no group 'x' (found ['0', '1'])\n"
+    assert not out.exists()
+
+
+def test_bench_and_classify_refuse_an_unknown_method_alike(tmp_path, capsys):
+    spec = {"dataset": "4", "methods": ["VOM", "svm"], "n_train": 10, "n_test": 5, "replicates": 2, "m": 10}
+    spec_f, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec_f.write_text(json.dumps(spec))
+    error = f"error: unknown method 'svm'; choose from {METHODS}\n"
+    assert main(["bench", "--spec", str(spec_f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == error
+    # the method is checked before either file is read
+    assert main(["classify", "--train", "missing.csv", "--test", "missing.csv", "--method", "svm",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == error
+    assert not out.exists()
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -253,11 +284,11 @@ def test_classify_writes_plain_fields_unquoted_with_lf_ends(tmp_path):
                  "--out", str(pred)]) == 0
 
     model = train(list(read_groups_csv(train_f)[0].values()), "FM2")
-    test_groups, report = read_groups_csv(test_f)
+    test_groups, curve_ids = read_groups_csv(test_f)
     lines = ["curve_id,true_group,predicted,score_a,score_b"]
     for label, group in test_groups.items():
         preds = predict_batch(model, group)
-        for cid, predicted, scores in zip(report["curve_ids"][label], preds.label, preds.scores):
+        for cid, predicted, scores in zip(curve_ids[label], preds.label, preds.scores):
             lines.append(f"{cid},{label},{predicted}," + ",".join(repr(float(s)) for s in scores))
     assert lines[1].startswith("p00,a,a,")
     assert pred.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -31,6 +31,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="^grid points must be finite$"):
+            Grid(np.array([0.0, 0.5, bad]))
+
     def test_weights_normalized_and_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -143,13 +148,19 @@ class TestCsv:
         ]
         path = tmp_path / "data.csv"
         write_groups_csv(groups, path)
-        loaded, report = read_groups_csv(path)
+        loaded, curve_ids = read_groups_csv(path)
         assert sorted(loaded) == ["a", "b"]
-        assert report["n_per_group"] == {"a": 3, "b": 4}
-        assert report["m"] == 12 and report["p"] == 2
+        assert {label: (g.n, g.grid.m, g.p) for label, g in loaded.items()} == {"a": (3, 12, 2), "b": (4, 12, 2)}
+        assert curve_ids == {"a": ["a-0000", "a-0001", "a-0002"], "b": [f"b-{i:04d}" for i in range(4)]}
         for grp in groups:
             assert np.array_equal(loaded[grp.label].values, grp.values)
             assert np.array_equal(loaded[grp.label].grid.points, g.points)
+
+    def test_write_rejects_no_groups(self, tmp_path):
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="^nothing to write$"):
+            write_groups_csv([], path)
+        assert not path.exists()
 
     def test_write_rejects_repeated_labels(self, tmp_path):
         # the curves of two groups named alike would share ids, which the reader rejects
@@ -349,14 +360,10 @@ class TestCsv:
             "x0,b,0.0,8.0,9.0\n \n"
             "x0,b,1.0,10.0,11.0\n"
         )
-        groups, report = read_groups_csv(path)
+        groups, curve_ids = read_groups_csv(path)
         assert list(groups) == ["a", "b"]
-        assert report == {
-            "n_per_group": {"a": 1, "b": 2},
-            "m": 2,
-            "p": 2,
-            "curve_ids": {"a": ["y0"], "b": ["z0", "x0"]},
-        }
+        assert {label: (g.n, g.grid.m, g.p) for label, g in groups.items()} == {"a": (1, 2, 2), "b": (2, 2, 2)}
+        assert curve_ids == {"a": ["y0"], "b": ["z0", "x0"]}
         assert np.array_equal(groups["b"].values[:, :, 0], [[1.0, 2.0], [8.0, 10.0]])
         assert np.signbit(groups["b"].values[0, 0, 1])
         assert np.array_equal(groups["a"].grid.points, [0.0, 1.0])
@@ -391,29 +398,28 @@ class TestCsv:
             )
         path = tmp_path_factory.mktemp("rt") / "data.csv"
         write_groups_csv(groups, path)
-        loaded, report = read_groups_csv(path)
+        loaded, curve_ids = read_groups_csv(path)
         assert list(loaded) == sorted(labels)
-        assert report["m"] == grid.m and report["p"] == p
         for grp in groups:
             got = loaded[grp.label]
             assert np.array_equal(got.values.view(np.int64), grp.values.view(np.int64))
             assert np.array_equal(got.grid.points.view(np.int64), grid.points.view(np.int64))
-            assert report["curve_ids"][grp.label] == [f"{grp.label}-{i:04d}" for i in range(grp.n)]
+            assert curve_ids[grp.label] == [f"{grp.label}-{i:04d}" for i in range(grp.n)]
 
 
 def _outcome(path):
     """What ``read_groups_csv`` gives for a file: each group's values and grid
-    as integer bit patterns and the report, or the exception's type, message
-    and row."""
+    as integer bit patterns and the curve ids, or the exception's type,
+    message and row."""
     try:
-        groups, report = read_groups_csv(path)
+        groups, curve_ids = read_groups_csv(path)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
     bits = {
         label: (g.values.shape, g.values.view(np.int64).tolist(), g.grid.points.view(np.int64).tolist())
         for label, g in groups.items()
     }
-    return list(groups), bits, report
+    return list(groups), bits, curve_ids
 
 
 def _record_pass_outcome(path):
@@ -529,11 +535,11 @@ class TestCsvParsers:
         path = tmp_path / "data.csv"
         write_groups_csv(groups, path)
         with mock.patch.object(curves_module, "_record_rows", side_effect=AssertionError):
-            loaded, report = read_groups_csv(path)
+            loaded, _ = read_groups_csv(path)
         assert list(loaded) == sorted(grp.label for grp in groups)
         for grp in groups:
             assert np.array_equal(loaded[grp.label].values.view(np.int64), grp.values.view(np.int64))
-        assert report["n_per_group"] == {"a": 3, 'b,"q"': 2, "c\r\nd": 4}
+        assert {label: g.n for label, g in loaded.items()} == {"a": 3, 'b,"q"': 2, "c\r\nd": 4}
 
     def test_record_pass_reads_files_of_many_chunks_alike(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -544,10 +550,11 @@ class TestCsvParsers:
         ]
         path = tmp_path / "data.csv"
         write_groups_csv(groups, path)
-        loaded, report = read_groups_csv(path)
+        loaded, curve_ids = read_groups_csv(path)
         with mock.patch.object(curves_module, "_loadtxt_rows", lambda fh, p: None):
-            again, again_report = read_groups_csv(path)
-        assert again_report == report and report["n_per_group"] == {"a": n, "b": n}
+            again, again_ids = read_groups_csv(path)
+        assert again_ids == curve_ids
+        assert {label: g.n for label, g in again.items()} == {label: g.n for label, g in loaded.items()} == {"a": n, "b": n}
         for grp in groups:
             assert np.array_equal(again[grp.label].values.view(np.int64), grp.values.view(np.int64))
             assert np.array_equal(loaded[grp.label].values.view(np.int64), grp.values.view(np.int64))
@@ -565,8 +572,8 @@ class TestCsvParsers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with mock.patch.object(curves_module, "_record_rows", side_effect=AssertionError):
-                groups, report = read_groups_csv(path)
-        assert report["n_per_group"] == {"a": n // 2, "b": n // 2}
+                groups, _ = read_groups_csv(path)
+        assert {label: g.n for label, g in groups.items()} == {"a": n // 2, "b": n // 2}
         assert groups["b"].values[-1, -1, 0] == n - 1 + m - 1 + 0.5
 
     def test_header_only_file_warns_nothing(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from dirout import curves, experiment
 from dirout.classify import METHODS
-from dirout.curves import FunctionalGroup, Grid, write_groups_csv
+from dirout.curves import FunctionalGroup, Grid, derivative_augment, write_groups_csv
 from dirout.experiment import (
     ExperimentResult,
     ExperimentSpec,
@@ -68,7 +68,7 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert result.rates.shape == (2, 4)
         assert np.all((0.0 <= result.rates) & (result.rates <= 1.0))
-        for i, m in enumerate(result.methods):
+        for i, m in enumerate(spec.methods):
             assert result.mean_rates[m] == pytest.approx(result.rates[i].mean(), abs=1e-15)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -102,6 +102,33 @@ class TestRunExperiment:
         spec = ExperimentSpec("3", ("VOM",), n_train=10, n_test=10, replicates=4, seed=6, m=15)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_experiment(spec, workers=workers)
+
+    def test_the_pool_starts_at_most_one_worker_per_replicate(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            """Records the worker count asked for and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        spec = ExperimentSpec("3", ("VOM", "RP1"), n_train=10, n_test=10, replicates=2, seed=6, m=15)
+        pooled = run_experiment(spec, workers=500)
+        assert asked == [2]
+        assert np.array_equal(pooled.rates, run_experiment(spec, workers=1).rates)
+        assert asked == [2]  # one worker runs in this process, with no pool
 
     def test_one_predict_call_per_method_and_replicate(self, monkeypatch):
         calls = []
@@ -143,6 +170,36 @@ class TestRunExperiment:
         spec = ExperimentSpec(str(path), ("RMD",), n_train=4, n_test=4, replicates=2, seed=8)
         with pytest.raises(RuntimeError, match="replicate 0"):
             run_experiment(spec)
+
+    def test_data_failure_names_replicate(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "small.csv"
+        write_groups_csv(make_level_groups(rng, [("0", 0.0), ("1", 1.0)], n=8), path)
+        spec = ExperimentSpec(str(path), ("VOM",), n_train=6, n_test=4, replicates=2, seed=8)
+        with pytest.raises(RuntimeError, match="^replicate 0: group '0' has 8 curves, need 10$"):
+            run_experiment(spec)
+
+    def test_csv_derivatives_equal_a_csv_of_augmented_curves(self, tmp_path):
+        # augmenting each curve commutes with splitting the curves, so the
+        # rates of a 2-column CSV with derivatives are those of its augmented
+        # 4-column CSV without, bit for bit
+        rng = np.random.default_rng(12)
+        grid = Grid(np.linspace(0.0, 1.0, 12))
+        groups = [
+            FunctionalGroup.from_values(label, level + np.cumsum(rng.normal(size=(20, 12, 2)), axis=1), grid)
+            for label, level in (("0", 0.0), ("1", 0.8))
+        ]
+        raw, augmented = tmp_path / "raw.csv", tmp_path / "augmented.csv"
+        write_groups_csv(groups, raw)
+        write_groups_csv([derivative_augment(g) for g in groups], augmented)
+        outs = []
+        for path, derivatives in ((raw, True), (augmented, False), (raw, False)):
+            spec = ExperimentSpec(str(path), METHODS, n_train=12, n_test=8, replicates=2, seed=13,
+                                  derivatives=derivatives)
+            outs.append(tmp_path / f"rates-{len(outs)}.csv")
+            run_experiment(spec).write_csv(outs[-1])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() != outs[2].read_bytes()
 
     def test_json_round_trip(self):
         spec = ExperimentSpec("1c", ("VOM", "RMD"), n_train=10, n_test=10, replicates=2, seed=9)
@@ -226,10 +283,14 @@ class TestEmitDiagnostics:
 
 def test_result_csv_bytes(tmp_path):
     spec = ExperimentSpec("2", ("RMD", "VOM"), n_train=5, n_test=5, replicates=2)
-    result = ExperimentResult(spec, spec.methods, np.array([[0.5, 0.25], [1.0, 0.1]]), (11, 12))
+    result = ExperimentResult(spec, np.array([[0.5, 0.25], [1.0, 0.1]]))
     out = tmp_path / "rates.csv"
     result.write_csv(out)
-    assert out.read_bytes() == b"method,replicate,seed,p_c\nRMD,0,11,0.5\nRMD,1,12,0.25\nVOM,0,11,1.0\nVOM,1,12,0.1\n"
+    # each replicate's seed is derive_seed(spec.seed, replicate)
+    assert out.read_bytes() == (
+        b"method,replicate,seed,p_c\nRMD,0,2968811710,0.5\nRMD,1,3964924996,0.25\n"
+        b"VOM,0,2968811710,1.0\nVOM,1,3964924996,0.1\n"
+    )
 
 
 class TestSpecValidation:
@@ -266,6 +327,19 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_json(json.dumps({**self.BASE, "derivatives": value}))
         assert spec.derivatives is value
         assert ExperimentSpec.from_json(spec_json(spec)).derivatives is value
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("methods", (), "methods must be non-empty"),
+         ("methods", ("VOM", "svm"), f"unknown method 'svm'; choose from {METHODS}"),
+         ("replicates", 0, "replicates must be >= 1"),
+         ("n_train", 0, "n_train and n_test must be >= 1"),
+         ("n_test", -2, "n_train and n_test must be >= 1"),
+         ("seed", -1, "seed must be non-negative")],
+    )
+    def test_out_of_range_fields_are_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(**{**self.BASE, field: value})
 
     def test_a_method_listed_twice_is_rejected(self):
         with pytest.raises(ValueError, match="^method 'RP1' is listed twice$"):

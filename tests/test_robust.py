@@ -90,6 +90,17 @@ class TestMcdFit:
             mcd_fit(pts, h=h)
         mcd_fit(pts, h=np.int64(6))
 
+    @pytest.mark.parametrize("shape", [(10,), (2, 5, 1)])
+    def test_rejects_features_that_are_not_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=f"^features must be \\(n, d\\), got shape {re.escape(str(shape))}$"):
+            mcd_fit(np.zeros(shape))
+
+    def test_rejects_fewer_than_d_plus_2_points(self):
+        pts = np.random.default_rng(6).normal(size=(4, 3))
+        with pytest.raises(ValueError, match=r"^need at least d\+2=5 points, got 4$"):
+            mcd_fit(pts)
+        mcd_fit(np.vstack([pts, [[1.0, -2.0, 0.5]]]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, value):
         pts = np.random.default_rng(6).normal(size=(40, 2))
@@ -142,7 +153,7 @@ class TestMcdFit:
         rng = np.random.default_rng(8)
         pts = rng.standard_t(df=3, size=(40, 2))
         fit = mcd_fit(pts, rng_seed=9)
-        h = fit.h
+        h = len(fit.subset)
         for _ in range(100):
             subset = rng.choice(40, size=h, replace=False)
             sel = pts[subset]
@@ -157,7 +168,7 @@ class TestMcdFit:
         sel = pts[fit.subset]
         diff = sel - sel.mean(axis=0)
         assert np.allclose(fit.location, sel.mean(axis=0), atol=1e-12)
-        assert np.allclose(fit.scatter, (diff.T @ diff / fit.h) * fit.consistency_factor, atol=1e-12)
+        assert np.allclose(fit.scatter, (diff.T @ diff / len(fit.subset)) * fit.consistency_factor, atol=1e-12)
 
 
 class TestScaleEquivariance:
@@ -679,6 +690,24 @@ class TestCStepParts:
         assert np.array_equal(_nearest(d2, 2, np.empty_like(d2)), [[0, 1], [0, 1], [1, 3]])
 
 
+    def test_nearest_sorts_only_the_rows_tied_at_the_cut(self, monkeypatch):
+        # h = 2: only row 1 has more than h entries at or below its cut; the
+        # other rows take their h entries from the cut alone
+        sorted_rows = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            sorted_rows.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        d2 = np.array([[3.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 4.0], [0.0, 5.0, 0.25, 6.0]])
+        assert np.array_equal(_nearest(d2, 2, np.empty_like(d2)), [[1, 3], [0, 1], [0, 2]])
+        assert sorted_rows == [(1, 4)]
+        sorted_rows.clear()
+        assert np.array_equal(_nearest(d2[[0, 2]], 2, np.empty((2, 4))), [[1, 3], [0, 2]])
+        assert sorted_rows == []
+
 class TestCStepLayouts:
     """The c-step gathers and reduces along contiguous axes, and its bits
     still equal the one-subset oracle's whatever the stack size and the
@@ -726,7 +755,7 @@ def assert_same_fit(fit, want):
     assert np.array_equal(fit.subset.view(np.int64), want.subset.view(np.int64))
     for name in ("location", "scatter", "determinant"):
         assert np.array_equal(bits(getattr(fit, name)), bits(getattr(want, name))), name
-    assert (fit.consistency_factor, fit.h, fit.n) == (want.consistency_factor, want.h, want.n)
+    assert (fit.consistency_factor, fit.n) == (want.consistency_factor, want.n)
 
 
 def assert_same_as_oracle(pts, h=None, seed=0):

@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from dirout.curves import Grid
-from dirout.errors import UnsupportedParameterError
+from dirout.errors import InvalidCovarianceError, UnsupportedParameterError
 from dirout.simulate import (
     GeneratorSpec,
     bessel_k,
+    cholesky_with_jitter,
     default_grid,
     derivative_dataset,
     generate,
@@ -85,6 +86,11 @@ class TestMatern:
         with pytest.raises(UnsupportedParameterError):
             matern(1.0, 0.7, 1.0)
 
+    @pytest.mark.parametrize("nu, alpha", [(0.0, 1.0), (-0.5, 1.0), (0.5, 0.0), (0.5, -2.0)])
+    def test_nonpositive_parameters_are_refused(self, nu, alpha):
+        with pytest.raises(ValueError, match="^nu and alpha must be positive$"):
+            matern(1.0, nu, alpha)
+
 
 class TestJointCovariance:
     def test_symmetric_and_psd_after_jitter(self):
@@ -118,6 +124,23 @@ class TestJointCovariance:
         for i in range(2):
             for j in range(2):
                 assert out[i, j] == matern(d[i, j], 2.0, 0.2)
+
+
+class TestCholeskyWithJitter:
+    def test_the_jitter_escalates_past_its_first_value(self):
+        # the smaller eigenvalue is about -2.5e-10: 1e-10 of jitter leaves it
+        # negative, and the first escalation, x10, makes it positive
+        mat = np.array([[1.0, 1.0], [1.0, 1.0 - 5e-10]])
+        for jitter in (0.0, 1e-10):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(mat + jitter * np.eye(2))
+        want = np.linalg.cholesky(mat + 1e-10 * 10.0 * np.eye(2))
+        assert np.array_equal(cholesky_with_jitter(mat), want)
+
+    def test_a_matrix_that_no_jitter_mends_is_refused(self):
+        mat = np.array([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(InvalidCovarianceError, match="^covariance not positive definite after jitter escalation$"):
+            cholesky_with_jitter(mat)
 
 
 class TestSampleGp:
@@ -191,6 +214,11 @@ class TestGenerate:
             GeneratorSpec("9", 0, 5)
         with pytest.raises(ValueError):
             GeneratorSpec("1", 2, 5)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_a_sample_size_below_one_is_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            GeneratorSpec("4", 1, n)
 
     @pytest.mark.parametrize(
         "field, value",
