@@ -28,10 +28,9 @@ import numpy as np
 
 from .curves import FunctionalGroup, Grid, check_same_grid
 from .outlyingness import reference_frame, squared_mahalanobis, summarize_values
-from .pointwise import random_unit_directions
+from .pointwise import cholesky_with_jitter, random_unit_directions
 from .robust import mcd_fit, rmd
 from .seeding import derive_seed
-from .simulate import cholesky_with_jitter
 
 __all__ = [
     "METHODS",
@@ -279,13 +278,6 @@ def _fm1_fit(groups, seed):
     return dirs, groups[0].grid.weights, tuple(g.values for g in groups)
 
 
-def _fm_blocks(m: int, n_dirs: int):
-    """Slices of grid points taken together, so that a block's arrays stay in
-    cache: one point for 500 directions, the whole grid for p = 1."""
-    step = max(1, 512 // n_dirs)
-    return [slice(t, t + step) for t in range(0, m, step)]
-
-
 def _fm1_score(state, values: np.ndarray) -> np.ndarray:
     """Integrated point-wise (random) Tukey depth. Per block of grid points
     the queries' projections are sorted once for every group, on the head
@@ -295,8 +287,10 @@ def _fm1_score(state, values: np.ndarray) -> np.ndarray:
     counts only the pairs of the remaining directions that can go below it."""
     dirs, w, refs = state
     (N, m), D = values.shape[:2], len(dirs)
-    head, blocks = math.isqrt(D), _fm_blocks(m, D)
-    step = min(blocks[0].stop, m)
+    head = math.isqrt(D)
+    # a block of grid points taken together keeps its arrays in cache: one
+    # point for 500 directions, the whole grid for p = 1
+    step = min(max(1, 512 // D), m)
     depths = [np.empty((N, m)) for _ in refs]
     q_buffer = np.empty((step, D, N))
     ref_buffers = [np.empty((step, D, len(ref))) for ref in refs]
@@ -305,8 +299,9 @@ def _fm1_score(state, values: np.ndarray) -> np.ndarray:
     counts = np.empty((step * head, N), dtype=np.intp)
     tail = (np.empty((D - head, N)), np.empty((D - head, N), dtype=bool),
             np.empty((D - head, N), dtype=bool), np.empty(N, dtype=np.intp))
-    for block in blocks:
-        size = min(block.stop, m) - block.start
+    for start in range(0, m, step):
+        size = min(step, m - start)
+        block = slice(start, start + size)
         proj_q = _fm_project(values[:, block], dirs, q_buffer[:size], scratch)
         sorted_q, flat = _sort_queries(proj_q[:, :head].reshape(-1, N))
         rows = counts[:len(sorted_q)]

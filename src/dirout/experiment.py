@@ -146,7 +146,8 @@ def _replicate_groups(spec: ExperimentSpec, r: int, csv_groups) -> list[Function
 
 
 def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
-    """Training and test curves as two groups; every method of a replicate shares the first."""
+    """The training curves as a group, which every method of a replicate
+    shares, and the (n_test, m, p) values of the test curves."""
     if group.n < n_train + n_test:
         raise ValueError(
             f"group {group.label!r} has {group.n} curves, need {n_train + n_test}"
@@ -154,8 +155,7 @@ def _split(group: FunctionalGroup, n_train: int, n_test: int, rng):
     perm = rng.permutation(group.n)
     train_idx, test_idx = perm[:n_train], perm[n_train : n_train + n_test]
     train_g = FunctionalGroup.from_values(group.label, group.values[train_idx], group.grid)
-    test_g = FunctionalGroup.from_values(group.label, group.values[test_idx], group.grid)
-    return train_g, test_g
+    return train_g, group.values[test_idx]
 
 
 def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
@@ -166,7 +166,7 @@ def _run_replicate(spec: ExperimentSpec, r: int, csv_groups) -> np.ndarray:
         for g in groups:
             tr, te = _split(g, spec.n_train, spec.n_test, rng)
             train_groups.append(tr)
-            test_values.append(te.values)
+            test_values.append(te)
         # every test curve in one batch, with its group's label as the truth
         queries = FunctionalGroup.from_values("test", np.concatenate(test_values), groups[0].grid)
         truth = np.repeat([g.label for g in groups], spec.n_test)

@@ -1,8 +1,9 @@
 """Point-wise building blocks across the grid: random unit directions for
 random Tukey depth, the moments and geometric medians that ``FunctionalGroup``
 computes once per group, the kernels of every squared Mahalanobis distance
-and every Euclidean one, and the small-matrix determinants and inverses of
-FAST-MCD.
+and every Euclidean one, the small-matrix determinants and inverses of
+FAST-MCD, and the jittered Cholesky factor of the covariances of the
+simulated noise and of the random-projection directions.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularScatterError
+from .errors import ConvergenceError, InvalidCovarianceError, SingularScatterError
 
-__all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "det_inv", "geometric_medians_batch",
-           "random_unit_directions", "distances"]
+__all__ = ["PointwiseMoments", "pointwise_moments", "quadratic_forms", "det_inv", "cholesky_with_jitter",
+           "geometric_medians_batch", "random_unit_directions", "distances"]
 
 # Ridge applied to near-singular point-wise covariances: eps * trace(S)/p on
 # the diagonal, only where the eigenvalue ratio exceeds COND_LIMIT.
@@ -80,12 +81,8 @@ def quadratic_forms(diff: np.ndarray, inv: np.ndarray, out: np.ndarray | None = 
     bits are those of a call without it, which allocates the two.
     """
     d = len(diff)
-    if out is None:
-        total = diff[0] * inv[0, 0]
-        term = np.empty_like(total)
-    else:
-        total, term = out
-        np.multiply(diff[0], inv[0, 0], out=total)
+    total = np.multiply(diff[0], inv[0, 0], out=None if out is None else out[0])
+    term = np.empty_like(total) if out is None else out[1]
     total *= diff[0]
     for k in range(1, d * d):
         i, j = divmod(k, d)
@@ -145,6 +142,22 @@ def det_inv(mats: np.ndarray):
             np.divide(a, det, out=inv[..., i, j])
             inv[..., j, i] = inv[..., i, j]
     return det, inv
+
+
+def cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
+    """Cholesky factor, adding diagonal jitter 1e-10*max(diag), escalated x10 up to 3 times."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        pass
+    jitter = 1e-10 * float(np.max(np.diag(matrix)))
+    eye = np.eye(matrix.shape[0])
+    for _ in range(4):
+        try:
+            return np.linalg.cholesky(matrix + jitter * eye)
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise InvalidCovarianceError("covariance not positive definite after jitter escalation")
 
 
 def random_unit_directions(n_dirs: int, d: int, rng) -> np.ndarray:
@@ -318,8 +331,6 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
             z[:, snap] = comps[:, kmin[snap], snap]
             done[snap] = True
             rejected[verts[~median], flagged[~median]] = True
-        if done.all():
-            return z[:, :B].T.copy()
         np.copyto(z_new, z, where=done | degenerate)
         steps = distances(z_new[:, None, :], z)[0]
         z, z_new = z_new, z

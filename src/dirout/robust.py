@@ -269,20 +269,15 @@ def c_step(points: np.ndarray, subsets: np.ndarray, h: int):
     if not 1 <= h <= n:
         raise ValueError(f"h must satisfy 1 <= h <= {n}, got {h}")
     loc, cov, det, inv = _subset_fits(points, subsets)
-    regular = ~(det <= 0.0)  # not det > 0: a nan determinant steps, as it did one subset at a time
-    every = regular.all()
-    rows = slice(None) if every else regular
     coords = np.ascontiguousarray(points.T)
-    locs = loc.T[:, rows, None]
-    d = len(locs)
+    d = len(coords)
     # the workspace: differences, distances, term buffer (then partition copy)
-    work = np.empty((d + 2, locs.shape[1], n))
-    diff = np.subtract(coords[:, None, :], locs, out=work[:d])
-    d2 = quadratic_forms(diff, inv[rows].transpose(1, 2, 0)[..., None], out=work[d:])
-    if every:
-        return _nearest(d2, h, work[d + 1]), loc, cov, det
-    new_subsets = np.full((len(subsets), h), -1)
-    new_subsets[regular] = _nearest(d2, h, work[d + 1])
+    work = np.empty((d + 2, len(subsets), n))
+    diff = np.subtract(coords[:, None, :], loc.T[:, :, None], out=work[:d])
+    with np.errstate(invalid="ignore", over="ignore"):  # an exact fit's inverse is not finite
+        d2 = quadratic_forms(diff, inv.transpose(1, 2, 0)[..., None], out=work[d:])
+    new_subsets = _nearest(d2, h, work[d + 1])
+    new_subsets[det <= 0.0] = -1  # an exact fit takes no step; a nan determinant steps
     return new_subsets, loc, cov, det
 
 
@@ -388,6 +383,8 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     Args:
         features: (n, d) data matrix.
         h: subset size, an integer d+1 <= h <= n; defaults to floor((n+d+1)/2).
+            At h = n every start steps to the whole sample, so the fit is
+            the classical one, to the bit.
         rng_seed: seed of the generator of the elemental starts, a
             non-negative integer; fixed seed gives a fixed fit.
 
@@ -419,26 +416,21 @@ def mcd_fit(features, h: int | None = None, rng_seed: int = 0) -> McdFit:
     # the largest column range lies in [2^(e-1), 2^e); e = 0 for a range of 0 or inf
     e = int(np.frexp(np.ptp(points, axis=0).max())[1])
     points = np.ldexp(points, -e)
-    loc, cov, det, _ = _subset_fits(points, np.arange(n)[None])
+    cov, det = _subset_fits(points, np.arange(n)[None])[1:3]
     if det[0] <= 0.0:
         raise DegenerateDataError("full-sample covariance is singular")
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(np.ldexp(cov, 2 * e))):
             raise DegenerateDataError("full-sample covariance is not finite")
-    if h == n:
-        subset, loc, cov, det, factor = np.arange(n), loc[0], cov[0], det[0], 1.0
-    else:
-        # every start reaches a regular covariance, as the whole sample at the latest
-        subsets, dets = _screen(points, h, rng_seed)
-        keep = np.argsort(dets, kind="stable")[:N_KEEP]
-        subsets, locs, covs, dets = _iterate(points, subsets[keep], h, MAX_FULL_STEPS)
-        # the first of equal smallest determinants; a nan wins only in row 0,
-        # as it does under a loop's ``det < best``
-        best = 0 if np.isnan(dets[0]) else np.nanargmin(dets)
-        if dets[best] <= 0.0:
-            raise DegenerateDataError("minimum-determinant subset covariance is singular")
-        subset, loc, cov, det = np.sort(subsets[best]), locs[best], covs[best], dets[best]
-        factor = consistency_factor(h, n, d)
+    # every start reaches a regular covariance, as the whole sample at the latest
+    subsets, dets = _screen(points, h, rng_seed)
+    keep = np.argsort(dets, kind="stable")[:N_KEEP]
+    subsets, locs, covs, dets = _iterate(points, subsets[keep], h, MAX_FULL_STEPS)
+    best = np.argmin(dets)  # the first of equal smallest determinants, all finite
+    if dets[best] <= 0.0:
+        raise DegenerateDataError("minimum-determinant subset covariance is singular")
+    subset, loc, cov, det = np.sort(subsets[best]), locs[best], covs[best], dets[best]
+    factor = consistency_factor(h, n, d)
     with np.errstate(over="ignore", under="ignore"):
         det = float(np.ldexp(det, 2 * d * e))  # inf or 0.0 beyond the float range
     return McdFit(subset, np.ldexp(loc, e), np.ldexp(cov * factor, 2 * e), det, factor, n)

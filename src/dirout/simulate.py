@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalGroup, Grid, derivative_augment
-from .errors import InvalidCovarianceError, UnsupportedParameterError, check_integer
+from .errors import UnsupportedParameterError, check_integer
+from .pointwise import cholesky_with_jitter
 
 __all__ = [
     "GeneratorSpec",
@@ -25,7 +26,6 @@ __all__ = [
     "matern",
     "matern_matrix",
     "joint_covariance",
-    "cholesky_with_jitter",
     "generate",
     "derivative_dataset",
 ]
@@ -198,32 +198,12 @@ def joint_covariance(grid: Grid, p: int) -> np.ndarray:
     raise ValueError(f"the benchmark noise has p = 1 or 2, got {p!r}")
 
 
-def cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
-    """Cholesky factor, adding diagonal jitter 1e-10*max(diag), escalated x10 up to 3 times."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * float(np.max(np.diag(matrix)))
-    eye = np.eye(matrix.shape[0])
-    for _ in range(4):
-        try:
-            return np.linalg.cholesky(matrix + jitter * eye)
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise InvalidCovarianceError("covariance not positive definite after jitter escalation")
-
-
 def _draw_gp(grid: Grid, n: int, p: int, rng) -> np.ndarray:
     """Draw n zero-mean (n, m, p) curves of the benchmark noise."""
     joint = joint_covariance(grid, p)
     factor = cholesky_with_jitter(joint)
     z = rng.standard_normal((n, joint.shape[0]))
-    flat = z @ factor.T
-    m = grid.m
-    if p == 1:
-        return flat[:, :, None]
-    return np.stack([flat[:, :m], flat[:, m:]], axis=2)
+    return (z @ factor.T).reshape(n, p, grid.m).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +299,11 @@ def generate(spec: GeneratorSpec) -> FunctionalGroup:
     """Generate one class of one benchmark dataset as a labeled group."""
     rng = np.random.default_rng(spec.seed)
     t = spec.grid.points
-    if spec.dataset in UNIVARIATE:
-        values = _univariate_mean(spec, t, rng)[:, :, None]
+    if spec.dataset != "6":
+        mean = _univariate_mean if spec.dataset in UNIVARIATE else _bivariate_mean
+        values = mean(spec, t, rng).reshape(spec.n, spec.grid.m, -1)
         if spec.include_noise:
-            values = values + _draw_gp(spec.grid, spec.n, 1, rng)
-    elif spec.dataset in ("4", "5"):
-        values = _bivariate_mean(spec, t, rng)
-        if spec.include_noise:
-            values = values + _draw_gp(spec.grid, spec.n, 2, rng)
+            values = values + _draw_gp(spec.grid, spec.n, values.shape[2], rng)
     else:  # dataset 6 stacks the three univariate settings, drawn independently
         child_seeds = np.random.SeedSequence(spec.seed).generate_state(3)
         parts = []

@@ -64,6 +64,14 @@ MUTANTS = (
            "tests/test_classify.py::TestFunctionalDepthRp::test_a_projected_variance_just_above_the_degenerate_tolerance"),
     Mutant("pointwise.py", "\n_TOL = 1e-12\n", "\n_TOL = 1e-10\n",
            "tests/test_pointwise.py::TestMedianKernelAgainstWeiszfeldOracle::test_random_clouds[2]"),
+    Mutant("pointwise.py", "if steps.max() <= 1e-9 * scale:", "if steps.max() <= 1e-8 * scale:",
+           "tests/test_pointwise.py::TestMedianKernelAgainstWeiszfeldOracle::"
+           "test_the_stall_threshold_decides_between_the_iterate_and_an_error"),
+    Mutant("pointwise.py", "if steps.max() <= 1e-9 * scale:", "if steps.max() <= 1e-10 * scale:",
+           "tests/test_pointwise.py::TestMedianKernelAgainstWeiszfeldOracle::"
+           "test_the_stall_threshold_decides_between_the_iterate_and_an_error"),
+    Mutant("pointwise.py", "<= coincident.sum(axis=0) + 1e-12", "<= coincident.sum(axis=0)",
+           "tests/test_pointwise.py::TestMedianVertexTests::test_a_resultant_that_rounds_above_the_multiplicity_snaps"),
     Mutant("pointwise.py", "\nCOND_LIMIT = 1e12\n", "\nCOND_LIMIT = 1e10\n",
            "tests/test_pointwise.py::TestCovarianceRidge::test_ridge_only_above_the_ratio_limit[100000000000.0-False]"),
     Mutant("pointwise.py", "\nRIDGE_EPS = 1e-10\n", "\nRIDGE_EPS = 1e-8\n",
@@ -75,7 +83,13 @@ MUTANTS = (
            "tests/test_outlyingness.py::TestPointwiseOutlyingness::"
            "test_direction_is_dropped_only_below_the_zero_tolerance[1e-10-False]"),
     Mutant("robust.py", "\nN_KEEP = 10\n", "\nN_KEEP = 5\n",
-           "tests/test_robust.py::TestStackedIterate::test_rows_live_at_the_step_cap"),
+           "tests/test_robust.py::TestStackedIterate::test_the_best_fit_comes_from_the_seventh_candidate"),
+    Mutant("robust.py", "\nN_STARTS = 500\n", "\nN_STARTS = 250\n",
+           "tests/test_robust.py::TestStackedIterate::test_starts_past_the_250th_find_a_lower_determinant"),
+    Mutant("robust.py", "\nMAX_FULL_STEPS = 100\n", "\nMAX_FULL_STEPS = 10\n",
+           "tests/test_robust.py::TestStackedIterate::test_a_fit_that_takes_more_than_ten_full_steps"),
+    Mutant("robust.py", "    new_subsets[det <= 0.0] = -1  # an exact fit takes no step; a nan determinant steps\n", "",
+           "tests/test_robust.py::TestRepeatedRows::test_exact_fit_repeats_and_permutations"),
     Mutant("robust.py", "\nSCREEN_STEPS = 2\n", "\nSCREEN_STEPS = 1\n",
            "tests/test_robust.py::TestRepeatedRows::test_screen_fits_each_repeated_subset_alike[3-False]"),
     Mutant("robust.py", "within = d2 <= kth", "within = d2 < kth",

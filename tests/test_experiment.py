@@ -229,9 +229,9 @@ class TestSplitProtocol:
         grid = Grid(np.linspace(0, 1, 5))
         grp = FunctionalGroup.from_values("g", rng.normal(size=(30, 5, 1)), grid)
         tr, te = _split(grp, 18, 12, rng)
-        assert tr.n == 18 and te.n == 12
+        assert tr.n == 18 and len(te) == 12
         tr_rows = {tuple(v[:, 0]) for v in tr.values}
-        te_rows = {tuple(v[:, 0]) for v in te.values}
+        te_rows = {tuple(v[:, 0]) for v in te}
         assert not tr_rows & te_rows
 
     def test_insufficient_curves(self):

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -445,6 +446,33 @@ class TestMedianKernelAgainstWeiszfeldOracle:
             pts = np.ascontiguousarray(values[:, col : col + 1])
             assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts)), col
 
+    def test_columns_that_all_snap_return_their_vertices(self):
+        # the ring with its centre at five scales and shifts: every column
+        # snaps to its centre in the first pass, and the next pass, whose
+        # steps are all 0, returns the centres
+        ring = ring_with_centre()
+        scales = (1e-3, 0.5, 1.0, 7.0, 1e4)
+        shifts = ((0.0, 0.0), (1e4, -3.0), (-2.5, 0.75), (1.0, 1.0), (-1e3, 5e2))
+        pts = np.stack([scale * ring + shift for scale, shift in zip(scales, shifts)], axis=1)
+        med = geometric_medians_batch(pts)
+        assert same_bits(med, pts[-1])
+        assert same_bits(med, weiszfeld_oracle(pts))
+
+    def test_the_stall_threshold_decides_between_the_iterate_and_an_error(self, monkeypatch):
+        # a Gaussian cloud whose median lies 0.1 x scale from its nearest
+        # point: no vertex is flagged, and the Weiszfeld steps fall by about
+        # 0.6 per iteration, to 1.6e-9 x scale at the 33rd and 0.97e-9 x
+        # scale at the 34th; an iterate is returned only after a step of at
+        # most 1e-9 x scale
+        pts = np.random.default_rng(5).normal(size=(20, 1, 2))
+        monkeypatch.setattr(pointwise, "_MAX_ITER", 34)
+        assert same_bits(geometric_medians_batch(pts), weiszfeld_oracle(pts, max_iter=34))
+        monkeypatch.setattr(pointwise, "_MAX_ITER", 33)
+        with pytest.raises(ConvergenceError):
+            geometric_medians_batch(pts)
+        with pytest.raises(ConvergenceError):
+            weiszfeld_oracle(pts, max_iter=33)
+
     def test_gaussian_draws_and_the_stall_the_oracle_gives_up_on(self):
         # draw 29 has a column whose median lies about 1e-4 from a data point:
         # Weiszfeld crawls there and the oracle raises
@@ -506,6 +534,24 @@ class TestMedianVertexTests:
                 decided += len(cols)
                 snapped += sum(want)
         assert snapped > 10 and decided > 500
+
+    @pytest.mark.parametrize("cloud", [[[0, 0], [2, 5], [-6, -15], [-5, 2]], [[0, 0], [15, 6], [-5, -2], [-2, 5]]])
+    def test_a_resultant_that_rounds_above_the_multiplicity_snaps(self, cloud):
+        # the origin, a point, a point opposite it at another radius and one
+        # at right angles: the first two unit vectors cancel, so the
+        # resultant has norm 1, the origin's multiplicity, and the origin is
+        # the median; the two norms round apart (sqrt(261) is not 3
+        # sqrt(29) in floats), which leaves the computed norm above 1,
+        # within the vertex test's 1e-12; every step is a correctly rounded
+        # operation, so the bits do not depend on the machine
+        points = np.array(cloud, dtype=float)
+        units = [(x / math.sqrt(x * x + y * y), y / math.sqrt(x * x + y * y)) for x, y in points[1:]]
+        rx, ry = sum(u[0] for u in units), sum(u[1] for u in units)
+        assert 1.0 < math.sqrt(rx * rx + ry * ry) <= 1.0 + 1e-12
+        pts = points[:, None, :]
+        med = geometric_medians_batch(pts)
+        assert same_bits(med, np.zeros((1, 2)))
+        assert same_bits(med, weiszfeld_oracle(pts))
 
     def test_newton_finish_needs_a_rejected_vertex_and_a_regular_hessian(self):
         pts = gaussian_draws(30)[29][:, 42:43]  # the median lies 1.2e-4 from point 8

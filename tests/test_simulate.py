@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from dirout.curves import Grid
 from dirout.errors import InvalidCovarianceError, UnsupportedParameterError
+from dirout.pointwise import cholesky_with_jitter
 from dirout.simulate import (
     GeneratorSpec,
     bessel_k,
-    cholesky_with_jitter,
     default_grid,
     derivative_dataset,
     generate,
