@@ -134,7 +134,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # surface a clean message, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

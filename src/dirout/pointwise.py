@@ -337,9 +337,9 @@ def geometric_medians_batch(points: np.ndarray) -> np.ndarray:
         if steps.max() <= _TOL * scale:
             return z[:, :B].T.copy()
     z = z[:, :B].T.copy()
-    if steps.max() <= 1e-9 * scale:
-        return z
     stalled = np.flatnonzero(steps[:B] > 1e-9 * scale)
+    if not stalled.size:
+        return z
     finished = _newton_finish(points, z, stalled, rejected, floor, check_radius, _TOL * scale)
     if finished is None:
         raise ConvergenceError(

@@ -1,5 +1,7 @@
 import csv
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,23 @@ def test_simulate_writes_readable_csv(tmp_path, capsys):
     assert rc == 0
     groups, _ = read_groups_csv(out)
     assert (groups["1"].n, groups["1"].grid.m, groups["1"].p) == (6, 50, 2)
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 0), ("diagnose", 1)])
+def test_python_m_dirout_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys, command, code):
+    # ``python -m dirout`` runs dirout/__main__.py in this process; a missing
+    # group file is an error, which main reports with exit code 1
+    out = tmp_path / "out.csv"
+    args = {
+        "simulate": ["--data", "4", "--class", "0", "--n", "3", "--m", "5"],
+        "diagnose": ["--group", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "missing.csv")],
+    }[command]
+    monkeypatch.setattr(sys, "argv", ["dirout", command, *args, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("dirout", run_name="__main__")
+    assert exc.value.code == code
+    assert out.exists() == (code == 0)
+    assert capsys.readouterr().err.startswith("error: ") == (code == 1)
 
 
 def test_simulate_then_diagnose(tmp_path):

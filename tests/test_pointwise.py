@@ -306,6 +306,18 @@ class TestCovarianceRidge:
         # the ridge is 5.0e-11 x 2/3 on an eigenvalue of 2/3 / ratio
         assert inv_cov == pytest.approx(np.linalg.inv(cov), rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_covariance_that_underflows_to_zero_raises(self, p):
+        # one curve is 1e-170 off the others at the first grid point: the
+        # point is not flat, but its covariance underflows to 0, and so does
+        # the ridge of 1e-10 x trace / p
+        values = np.random.default_rng(p).normal(size=(6, M, p))
+        values[:, 0] = 0.0
+        values[0, 0] = 1e-170
+        group = FunctionalGroup.from_values("g", values, grid())
+        with pytest.raises(SingularScatterError, match="point-wise covariance singular after ridge"):
+            group.moments
+
 
 class TestDetInv:
     """``det_inv``'s cofactor formulas against LAPACK, which computes by LU
@@ -565,6 +577,9 @@ class TestMedianVertexTests:
         rejected[8] = True
         med = pointwise._newton_finish(pts, z, np.array([0]), rejected, *args)
         assert resultant_norms(pts, med) <= 1e-12 * 25
+        # an iterate on the rejected point, and steps that never reach a tol of -1
+        assert pointwise._newton_finish(pts, pts[8], np.array([0]), rejected, *args) is None
+        assert pointwise._newton_finish(pts, z, np.array([0]), rejected, *args[:2], -1.0) is None
         # on a line the Hessian has a zero eigenvalue across it
         line = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [7.0, 0.0], [20.0, 0.0]])[:, None, :]
         near = np.array([[3.0001, 0.0]])

@@ -914,7 +914,11 @@ class TestConsistencyFactor:
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_matches_scipy_over_admissible_h(self, d):
-        for n in [*range(d + 2, d + 12), *range(d + 12, 1201, 97), 1200]:
+        # at h = d + 1 of the large n the Wilson-Hilferty start is clamped at
+        # 1e-3; a Newton step from it reaches x <= 0 at n = 11,495 and d = 3,
+        # and lands where the density underflows to 0 at d = 4 from
+        # n = 160,350 and at d = 5-8 and n = 10^9
+        for n in [*range(d + 2, d + 12), *range(d + 12, 1201, 97), 1200, 11495, 160350, 10**6, 10**9]:
             hs = range(d + 1, n + 1, max(1, n // 40))
             got = np.array([consistency_factor(h, n, d) for h in hs])
             np.testing.assert_allclose(got, self.scipy_factors(hs, n, d), rtol=1e-12, atol=0)
